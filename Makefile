@@ -1,17 +1,18 @@
 # Developer entry points. `make check` is the tier-1 verify referenced
 # from ROADMAP.md; `make race` exercises the concurrent packages (the
-# worker-pool executor, the vector kernels, the solvers built on them and
-# the fault-injection harness) under the race detector; `make fuzz` runs a
-# short smoke pass of every fuzz target over the untrusted-input parsers;
-# `make gencheck` regenerates the block kernels into a temp dir and fails
-# if the committed *_gen.go files have drifted from the generator.
+# worker-pool executor, the vector kernels, the solvers built on them,
+# the serving batchers and the fault-injection harness) under the race
+# detector; `make fuzz` runs a short smoke pass of every fuzz target over
+# the untrusted-input parsers; `make gencheck` regenerates the block
+# kernels into a temp dir and fails if the committed *_gen.go files have
+# drifted from the generator.
 
 GO ?= go
 
 RACE_PKGS = ./internal/workpool ./internal/parallel ./internal/vecops ./internal/solver \
     ./internal/conformance ./internal/csrdu ./internal/faultcheck \
     ./internal/server ./internal/metrics ./internal/sell ./internal/shard \
-    ./internal/overlay
+    ./internal/overlay ./internal/batch
 
 FUZZTIME ?= 5s
 
@@ -42,8 +43,10 @@ build:
 test:
 	$(GO) test ./...
 
+# Three passes, so a timing-dependent test fails in the change that
+# makes it flaky rather than in a later one.
 race:
-	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=3 $(RACE_PKGS)
 
 # Go runs one fuzz target per invocation, so each gets its own line.
 fuzz:

@@ -46,7 +46,7 @@ func main() {
 		addr       = flag.String("addr", ":8472", "listen address")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width per matrix")
 		batch      = flag.Int("batch", 8, "max coalesced panel width k (1 disables batching)")
-		window     = flag.Duration("window", 200*time.Microsecond, "batch gather window")
+		window     = flag.Duration("window", 200*time.Microsecond, "how long a panel is held open for more requests, only right after a panel several requests shared; a lone request goes at once")
 		queue      = flag.Int("queue", 256, "per-matrix admission queue depth")
 		cacheBytes = flag.Int64("cache-bytes", 0, "matrix cache cap in bytes (0 = unbounded)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline")

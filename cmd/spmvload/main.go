@@ -91,7 +91,7 @@ func main() {
 	flag.DurationVar(&opts.warmup, "warmup", 250*time.Millisecond, "untimed warmup per phase")
 	flag.IntVar(&opts.batch, "batch", 8, "max coalesced panel width k for the batched phase, server or shard coordinator (1 disables batching)")
 	flag.IntVar(&opts.workers, "workers", runtime.GOMAXPROCS(0), "self-hosted server worker-pool width")
-	flag.DurationVar(&opts.window, "window", 200*time.Microsecond, "batch gather window, server or shard coordinator")
+	flag.DurationVar(&opts.window, "window", 200*time.Microsecond, "batch gather window, server or shard coordinator: how long a panel is held open for more callers, only right after a panel several callers shared")
 	flag.IntVar(&opts.n, "n", 4096, "self-hosted matrix dimension")
 	flag.Float64Var(&opts.density, "density", 0.008, "self-hosted matrix density")
 	flag.Int64Var(&opts.seed, "seed", 1, "self-hosted matrix seed")

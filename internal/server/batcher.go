@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
-	"sync"
 	"time"
 
+	"blockspmv/internal/batch"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/parallel"
 )
@@ -30,7 +30,9 @@ type request struct {
 }
 
 // width is the number of right-hand sides the request contributes to a
-// panel; updates contribute none.
+// panel; updates contribute none, which closes the panel: requests
+// behind an update must observe its effect, so they wait for the next
+// dispatch.
 func (r *request) width() int {
 	if r.apply != nil {
 		return 0
@@ -41,19 +43,18 @@ func (r *request) width() int {
 	return 1
 }
 
-// batcher coalesces concurrent single-vector MulVec requests against one
-// matrix into k-wide panels and dispatches them through the pooled
-// MulVecs path, so the matrix stream — the resource SpMV saturates — is
-// paid once per panel instead of once per request.
+// batcher coalesces concurrent requests against one matrix into k-wide
+// panels and dispatches them through the pooled MulVecs path, so the
+// matrix stream — the resource SpMV saturates — is paid once per panel
+// instead of once per request.
 //
 // Requests enter through a bounded channel (the admission queue); a full
 // queue sheds with ErrOverloaded instead of building an unbounded
-// backlog. A single loop goroutine owns the parallel.Mul pool (whose
-// MulVec/MulVecs contract is single-caller): it takes the first waiting
-// request, then gathers more for at most window — or until max are in
-// hand — and dispatches the batch as one panel. Under low load the
-// window expires with one request in hand and the loop falls back to the
-// plain single-vector MulVec, paying no panel pack/unpack.
+// backlog. The gather loop and its rule (hold a panel open only right
+// after a shared one) live in internal/batch; its single goroutine owns
+// the parallel.Mul pool (whose MulVec/MulVecs contract is
+// single-caller). A panel of one request goes through the plain
+// single-vector MulVec, paying no panel pack/unpack.
 //
 // close drains rather than aborts: the in-flight batch completes and
 // replies normally, every request still queued is shed with
@@ -64,41 +65,29 @@ func (r *request) width() int {
 // every requester of this matrix as a typed error without affecting
 // other matrices, which own their own pools.
 type batcher struct {
-	pool   *parallel.Mul[float64]
-	rows   int
-	max    int           // panel width cap; 1 disables coalescing
-	window time.Duration // how long to hold the first request while gathering
+	q    *batch.Batcher[*request]
+	pool *parallel.Mul[float64]
+	rows int
+	in   *instruments
 
-	ch   chan *request
-	stop chan struct{}
-	done chan struct{} // loop exited
-
-	mu     sync.RWMutex // guards closed against in-flight submits
-	closed bool
-
-	in *instruments
-
-	// batch scratch, reused by the loop goroutine only.
-	batch []*request
-	xs    [][]float64
-	ys    [][]float64
+	// panel scratch, reused by the loop goroutine only.
+	xs [][]float64
+	ys [][]float64
 }
 
 // newBatcher starts the batch loop over a freshly built pool. depth is
-// the admission-queue bound, max the panel-width cap, window the
-// gathering timeout; all are already defaulted by the caller.
+// the admission-queue bound, max the panel-width cap, window the hold
+// after a shared panel; all are already defaulted by the caller.
 func newBatcher(pool *parallel.Mul[float64], max int, window time.Duration, depth int, in *instruments) *batcher {
-	b := &batcher{
-		pool:   pool,
-		rows:   pool.Instance().Rows(),
-		max:    max,
-		window: window,
-		ch:     make(chan *request, depth),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		in:     in,
-	}
-	go b.loop()
+	b := &batcher{pool: pool, rows: pool.Instance().Rows(), in: in}
+	b.q = batch.New(max, window, depth, batch.Hooks[*request]{
+		Width: (*request).width,
+		Run:   b.execute,
+		Shed: func(r *request) {
+			in.queueDepth.Add(-1)
+			r.done <- ErrOverloaded
+		},
+	})
 	return b
 }
 
@@ -146,21 +135,11 @@ func (b *batcher) admit(ctx context.Context, r *request) error {
 	b.in.reqTotal.Inc()
 	r.enq = time.Now()
 	r.done = make(chan error, 1)
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
+	if b.q.Submit(r) != nil { // queue full, or draining
 		b.in.reqShed.Inc()
 		return ErrOverloaded
 	}
-	select {
-	case b.ch <- r:
-		b.mu.RUnlock()
-		b.in.queueDepth.Add(1)
-	default:
-		b.mu.RUnlock()
-		b.in.reqShed.Inc()
-		return ErrOverloaded
-	}
+	b.in.queueDepth.Add(1)
 	select {
 	case err := <-r.done:
 		b.observeReply(r, err)
@@ -186,98 +165,30 @@ func (b *batcher) observeReply(r *request, err error) {
 	}
 }
 
-// loop is the single goroutine that owns the pool: gather, dispatch,
-// reply, forever — until stop, when it sheds the remaining queue.
-func (b *batcher) loop() {
-	defer close(b.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		// Prefer the stop signal over more work: once draining begins the
-		// queue is shed, not served (select alone would pick at random).
-		select {
-		case <-b.stop:
-			b.shedQueued()
-			return
-		default:
-		}
-		select {
-		case <-b.stop:
-			b.shedQueued()
-			return
-		case r := <-b.ch:
-			b.in.queueDepth.Add(-1)
-			b.gather(r, timer)
-			b.execute()
-		}
-	}
-}
-
-// gather fills b.batch with the first request plus whatever else arrives
-// within the window, until the summed panel width reaches max. A stop
-// signal ends gathering early but the gathered batch still executes
-// (those requests are in flight, and the drain contract completes
-// in-flight work).
-func (b *batcher) gather(first *request, timer *time.Timer) {
-	b.batch = append(b.batch[:0], first)
-	w := first.width()
-	// An update closes the batch immediately: requests behind it must
-	// observe its effect, so they wait for the next dispatch.
-	if first.apply != nil || b.max <= 1 || b.window <= 0 || w >= b.max {
-		return
-	}
-	timer.Reset(b.window)
-	defer func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for w < b.max {
-		select {
-		case r := <-b.ch:
-			b.in.queueDepth.Add(-1)
-			b.batch = append(b.batch, r)
-			if r.apply != nil {
-				return // see above: the update ends this batch
-			}
-			w += r.width()
-		case <-timer.C:
-			return
-		case <-b.stop:
-			return
-		}
-	}
-}
-
-// execute dispatches the gathered batch: canceled requests are dropped
+// execute dispatches one gathered panel: canceled requests are dropped
 // (their submit already returned), one live request goes through the
 // single-vector path, several go through one MulVecs panel, and a
-// trailing update (gather closes the batch on one) runs after the panel
-// so the multiplies gathered before it still see the pre-update matrix.
-// Every live request receives its own outcome — nil, the typed pool
-// error, or the update's error.
-func (b *batcher) execute() {
+// trailing update (it closed the panel) runs after the multiply so the
+// requests gathered before it still see the pre-update matrix. Every
+// live request receives its own outcome — nil, the typed pool error, or
+// the update's error.
+func (b *batcher) execute(panel []*request) {
 	now := time.Now()
-	live := b.batch[:0]
+	b.in.queueDepth.Add(-int64(len(panel)))
+	live := panel[:0]
 	var update *request
-	for _, r := range b.batch {
+	for _, r := range panel {
 		if r.ctx.Err() != nil {
 			r.done <- r.ctx.Err() // nobody may be listening; buffered
 			continue
 		}
 		b.in.queueWait.Observe(now.Sub(r.enq).Seconds())
 		if r.apply != nil {
-			update = r // at most one: gather stops at the first
+			update = r // at most one: it closed the panel
 			continue
 		}
 		live = append(live, r)
 	}
-	b.batch = live
 	if len(live) > 0 {
 		b.xs, b.ys = b.xs[:0], b.ys[:0]
 		for _, r := range live {
@@ -307,33 +218,11 @@ func (b *batcher) execute() {
 	}
 }
 
-// shedQueued replies ErrOverloaded to everything still in the queue.
-// It runs after the close flag is set under the write lock, so no new
-// submit can enqueue afterwards and draining to empty is final.
-func (b *batcher) shedQueued() {
-	for {
-		select {
-		case r := <-b.ch:
-			b.in.queueDepth.Add(-1)
-			r.done <- ErrOverloaded
-		default:
-			return
-		}
-	}
-}
-
 // close drains and retires the batcher: new submits shed immediately,
 // the loop finishes its in-flight batch, sheds the queue and exits, and
 // the pool workers are closed. Idempotent.
 func (b *batcher) close() {
-	b.mu.Lock()
-	already := b.closed
-	b.closed = true
-	b.mu.Unlock()
-	if !already {
-		close(b.stop)
-	}
-	<-b.done
+	b.q.Close()
 	b.pool.Close()
 }
 

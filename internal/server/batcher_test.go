@@ -11,47 +11,77 @@ import (
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/leakcheck"
+	"blockspmv/internal/mat"
 	"blockspmv/internal/testmat"
 )
 
-// slowInst wraps a format with kernels that sleep, so tests can hold a
-// batch in flight long enough to observe queueing, shedding and drain.
+// slowInst wraps a format with kernels that sleep for d and then, when
+// gate is set, block until it is closed, so tests can hold a batch in
+// flight long enough to observe queueing, shedding and drain.
 type slowInst[T floats.Float] struct {
 	formats.Instance[T]
-	d time.Duration
+	d    time.Duration
+	gate chan struct{}
+}
+
+func (s *slowInst[T]) wait() {
+	time.Sleep(s.d)
+	if s.gate != nil {
+		<-s.gate
+	}
 }
 
 func (s *slowInst[T]) Mul(x, y []T) {
-	time.Sleep(s.d)
+	s.wait()
 	s.Instance.Mul(x, y)
 }
 
 func (s *slowInst[T]) MulRange(x, y []T, r0, r1 int) {
-	time.Sleep(s.d)
+	s.wait()
 	s.Instance.MulRange(x, y, r0, r1)
 }
 
 func (s *slowInst[T]) MulRangeMulti(x, y []T, k, r0, r1 int) {
-	time.Sleep(s.d)
+	s.wait()
 	s.Instance.MulRangeMulti(x, y, k, r0, r1)
 }
 
-// TestBatcherCoalesces fires a burst of concurrent requests and checks
-// that (a) every result is exact and (b) the batch-size metric proves
-// k>1 panels actually formed.
-func TestBatcherCoalesces(t *testing.T) {
-	leakcheck.Check(t)
-	g := NewRegistry(Config{
-		Workers:     2,
-		BatchMax:    8,
-		BatchWindow: 5 * time.Millisecond,
-		QueueDepth:  64,
-	}, nil)
-	defer g.Close()
-	m := testmat.Random[float64](80, 60, 0.15, 7)
-	if _, err := g.RegisterMatrix("m", m); err != nil {
+// holdLoop registers a gated CSR copy of m as name and parks one request
+// in its kernel, so every request submitted before release queues
+// behind that in-flight panel and the test decides what the next gather
+// finds. release opens the gate and returns the held request's outcome.
+// A cleanup opens the gate too; tests close the registry with
+// t.Cleanup, registered before holdLoop, so it runs after the gate opens.
+func holdLoop(t *testing.T, g *Registry, name string, m *mat.COO[float64]) (release func() error) {
+	t.Helper()
+	inst, err := buildCSR(m)
+	if err != nil {
 		t.Fatal(err)
 	}
+	gate := make(chan struct{})
+	if _, err := g.RegisterInstance(name, &slowInst[float64]{Instance: inst, gate: gate}); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := g.MulVec(context.Background(), name, testVec(m.Cols()))
+		held <- err
+	}()
+	release = sync.OnceValue(func() error { close(gate); return <-held })
+	t.Cleanup(func() { release() })
+	waitFor(t, "the held request's dispatch", func() bool { return g.in.queueWait.Count() > 0 })
+	return release
+}
+
+// TestBatcherCoalesces queues a burst of concurrent requests behind an
+// in-flight panel and checks that (a) every result is exact and (b) the
+// batch-size metric proves k>1 panels actually formed.
+func TestBatcherCoalesces(t *testing.T) {
+	leakcheck.Check(t)
+	g := NewRegistry(Config{Workers: 2, BatchMax: 8, QueueDepth: 64}, nil)
+	t.Cleanup(g.Close)
+	m := testmat.Random[float64](80, 60, 0.15, 7)
+	release := holdLoop(t, g, "m", m)
 
 	const clients = 16
 	var wg sync.WaitGroup
@@ -68,6 +98,10 @@ func TestBatcherCoalesces(t *testing.T) {
 			results[c], errs[c] = g.MulVec(context.Background(), "m", xs[c])
 		}(c)
 	}
+	waitFor(t, "every client queued", func() bool { return g.in.queueDepth.Value() == clients })
+	if err := release(); err != nil {
+		t.Fatalf("held request: %v", err)
+	}
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		if errs[c] != nil {
@@ -83,14 +117,11 @@ func TestBatcherCoalesces(t *testing.T) {
 	if mean := g.in.MeanBatch(); mean <= 1 {
 		t.Fatalf("mean batch size = %g: no coalescing happened", mean)
 	}
-	if ok := g.in.reqOK.Value(); ok != clients {
-		t.Fatalf("reqOK = %d, want %d", ok, clients)
+	if ok := g.in.reqOK.Value(); ok != clients+1 {
+		t.Fatalf("reqOK = %d, want %d", ok, clients+1)
 	}
 }
 
-// TestBatcherSingleUnderLowLoad checks the low-load fallback: strictly
-// sequential requests never wait out a full window with company, and
-// every dispatch is a single-vector multiply.
 // TestBatcherPanelRequests drives the multi-RHS submit path: panel
 // requests mix with single-vector requests in one batch, a panel wider
 // than BatchMax is still served as one dispatch, every result is exact,
@@ -132,7 +163,7 @@ func TestBatcherPanelRequests(t *testing.T) {
 		}
 	}
 
-	// Concurrent mix: two panels and two singles race into the window.
+	// Concurrent mix: two panels and two singles race into the queue.
 	var wg sync.WaitGroup
 	panels := [][][]float64{mkPanel(2, 100), mkPanel(3, 200)}
 	panelYs := make([][][]float64, len(panels))
@@ -188,18 +219,27 @@ func TestBatcherPanelRequests(t *testing.T) {
 	}
 }
 
+// TestBatcherSingleUnderLowLoad checks the low-load path: strictly
+// sequential requests never wait for company — five of them finish well
+// inside one gather window — and every dispatch is a single-vector
+// multiply.
 func TestBatcherSingleUnderLowLoad(t *testing.T) {
 	leakcheck.Check(t)
-	g := NewRegistry(Config{Workers: 2, BatchMax: 8, BatchWindow: time.Millisecond}, nil)
+	const window = time.Second
+	g := NewRegistry(Config{Workers: 2, BatchMax: 8, BatchWindow: window}, nil)
 	defer g.Close()
 	m := testmat.Random[float64](30, 30, 0.2, 8)
 	if _, err := g.RegisterMatrix("m", m); err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	for i := 0; i < 5; i++ {
 		if _, err := g.MulVec(context.Background(), "m", testVec(30)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if took := time.Since(start); took >= window/2 {
+		t.Fatalf("5 sequential requests took %v under a %v window: a lone request waited for company", took, window)
 	}
 	if mean := g.in.MeanBatch(); mean != 1 {
 		t.Fatalf("mean batch size = %g under sequential load, want exactly 1", mean)
@@ -252,24 +292,17 @@ func TestBatcherSheds(t *testing.T) {
 	}
 }
 
-// TestBatcherCancellationMidBatch cancels one request while the batcher
-// is still gathering its panel: the canceled request returns
-// context.Canceled immediately, the surviving requests in the same
-// window compute exact results, and the pool is not poisoned for later
-// traffic.
+// TestBatcherCancellationMidBatch cancels one request while it waits in
+// the queue behind an in-flight panel: the canceled request returns
+// context.Canceled at once, the loop drops it before dispatch, the
+// survivors gathered with it compute exact results as one panel, and
+// the pool is not poisoned for later traffic.
 func TestBatcherCancellationMidBatch(t *testing.T) {
 	leakcheck.Check(t)
-	g := NewRegistry(Config{
-		Workers:     2,
-		BatchMax:    4,
-		BatchWindow: 100 * time.Millisecond, // long: the test controls dispatch timing
-		QueueDepth:  16,
-	}, nil)
-	defer g.Close()
+	g := NewRegistry(Config{Workers: 2, BatchMax: 4, QueueDepth: 16}, nil)
+	t.Cleanup(g.Close)
 	m := testmat.Random[float64](50, 40, 0.2, 10)
-	if _, err := g.RegisterMatrix("m", m); err != nil {
-		t.Fatal(err)
-	}
+	release := holdLoop(t, g, "m", m)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	canceledErr := make(chan error, 1)
@@ -277,13 +310,7 @@ func TestBatcherCancellationMidBatch(t *testing.T) {
 		_, err := g.MulVec(ctx, "m", testVec(40))
 		canceledErr <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // request is now held in the gathering window
-	cancel()
-	if err := <-canceledErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled request: err = %v, want context.Canceled", err)
-	}
-
-	// Three survivors fill the rest of the window and must be exact.
+	// Three survivors queue beside it and must be exact.
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	results := make([][]float64, 3)
@@ -297,6 +324,14 @@ func TestBatcherCancellationMidBatch(t *testing.T) {
 			results[c], errs[c] = g.MulVec(context.Background(), "m", xs[c])
 		}(c)
 	}
+	waitFor(t, "all four requests queued", func() bool { return g.in.queueDepth.Value() == 4 })
+	cancel()
+	if err := <-canceledErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled request: err = %v, want context.Canceled", err)
+	}
+	if err := release(); err != nil {
+		t.Fatalf("held request: %v", err)
+	}
 	wg.Wait()
 	for c := range errs {
 		if errs[c] != nil {
@@ -308,6 +343,11 @@ func TestBatcherCancellationMidBatch(t *testing.T) {
 				t.Fatalf("survivor %d: y[%d] = %g, want %g", c, i, results[c][i], want[i])
 			}
 		}
+	}
+	// The held k=1 multiply, then the survivors as one k=3 panel: the
+	// canceled request was gathered with them but never reached the kernel.
+	if n, sum := g.in.batchSize.Count(), g.in.batchSize.Sum(); n != 2 || sum != 4 {
+		t.Fatalf("%d dispatches of %g vectors in all, want the held k=1 and one k=3 panel", n, sum)
 	}
 	if n := g.in.reqCanceled.Value(); n == 0 {
 		t.Fatal("canceled counter not incremented")

@@ -39,8 +39,10 @@ type Config struct {
 	Workers int
 	// BatchMax caps the coalesced panel width; <= 1 disables batching.
 	BatchMax int
-	// BatchWindow is how long the batcher holds the first request of a
-	// panel while gathering more; <= 0 with BatchMax > 1 selects 200us.
+	// BatchWindow is how long the batcher holds a panel open for more
+	// requests, which it does only right after dispatching a panel that
+	// more than one request shared; otherwise a request goes with
+	// whatever is already queued, at once. <= 0 selects 200us.
 	BatchWindow time.Duration
 	// QueueDepth bounds each matrix's admission queue; <= 0 selects 256.
 	QueueDepth int

@@ -11,9 +11,10 @@
 //     core.SelectSafe into a cached best-format instance with a
 //     persistent worker pool; LRU eviction under a size cap, ref-counted
 //     so teardown never races in-flight requests.
-//   - batcher: per-matrix dynamic coalescing of single-vector requests
-//     into MulVecs panels (time/size windowed), bounded-queue admission
-//     control with typed ErrOverloaded shedding, graceful drain.
+//   - batcher: per-matrix dynamic coalescing of queued requests into
+//     MulVecs panels (held open for more only right after a shared
+//     panel), bounded-queue admission control with typed ErrOverloaded
+//     shedding, graceful drain.
 //   - Server: the HTTP face — matrix CRUD, a MulVec endpoint speaking
 //     JSON or the compact binary vector codec, Prometheus metrics at
 //     /metrics, expvar at /debug/vars, health at /healthz.

@@ -433,6 +433,10 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 		wgR.Wait()
 		t.Fatal("chaos writers timed out")
 	}
+	// Recompaction runs on its own goroutine and may still be in flight
+	// when the writers return: keep the readers going until a swap has
+	// landed under them, so the torn-read check covers one.
+	waitFor(t, "a recompaction under the readers", func() bool { return g.in.ovRecompactions.Value() > 0 })
 	close(stop)
 	wgR.Wait()
 	select {
@@ -464,9 +468,6 @@ func TestChaosReadersAndWritersThroughRecompaction(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Fatalf("final y[%d] = %g, want %g", i, got[i], want[i])
 		}
-	}
-	if g.in.ovRecompactions.Value() == 0 {
-		t.Fatal("chaos run never recompacted; threshold too high for the churn")
 	}
 }
 

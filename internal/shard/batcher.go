@@ -2,9 +2,9 @@ package shard
 
 import (
 	"context"
-	"sync"
 	"time"
 
+	"blockspmv/internal/batch"
 	"blockspmv/internal/server"
 )
 
@@ -19,14 +19,15 @@ type caller struct {
 }
 
 // batcher is the coordinator-side mirror of internal/server's request
-// batcher: concurrent MulVec callers are gathered for a short window (or
-// until BatchMax right-hand sides are in hand) and scattered as ONE
-// panel — one SpS2 frame per shard per panel instead of one SpS1 frame
-// per shard per call, so each shard streams its row block once for the
-// whole panel. The difference from the server batcher is what the panel
-// saves: there it amortizes the local matrix stream, here it also
-// amortizes the fan-out — frames, connections, retries, hedges and
-// breaker accounting all operate per panel attempt, not per caller.
+// batcher, over the same gather loop (internal/batch): concurrent
+// MulVec callers are coalesced into ONE panel of up to BatchMax
+// right-hand sides — one SpS2 frame per shard per panel instead of one
+// SpS1 frame per shard per call, so each shard streams its row block
+// once for the whole panel. The difference from the server batcher is
+// what the panel saves: there it amortizes the local matrix stream,
+// here it also amortizes the fan-out — frames, connections, retries,
+// hedges and breaker accounting all operate per panel attempt, not per
+// caller.
 //
 // Callers enter through a bounded channel; a full queue sheds with
 // server.ErrOverloaded rather than building an unbounded backlog. A
@@ -44,36 +45,24 @@ type caller struct {
 // replies normally, every caller still queued is shed with ErrClosed,
 // then the loop exits.
 type batcher struct {
-	c      *Coordinator
-	max    int
-	window time.Duration
+	c *Coordinator
+	q *batch.Batcher[*caller]
 
-	ch   chan *caller
-	stop chan struct{}
-	done chan struct{} // loop exited
-
-	mu     sync.RWMutex // guards closed against in-flight submits
-	closed bool
-
-	// batch scratch, reused by the loop goroutine only.
-	batch []*caller
-	xs    [][]float64
-	ys    [][]float64
+	// panel scratch, reused by the loop goroutine only.
+	xs [][]float64
+	ys [][]float64
 }
 
 // newBatcher starts the gather loop. max is the panel-width cap, window
-// the gathering timeout, depth the admission-queue bound; all already
-// defaulted by Options.withDefaults.
+// the hold after a shared panel, depth the admission-queue bound; all
+// already defaulted by Options.withDefaults.
 func newBatcher(c *Coordinator, max int, window time.Duration, depth int) *batcher {
-	b := &batcher{
-		c:      c,
-		max:    max,
-		window: window,
-		ch:     make(chan *caller, depth),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go b.loop()
+	b := &batcher{c: c}
+	b.q = batch.New(max, window, depth, batch.Hooks[*caller]{
+		Width: func(*caller) int { return 1 },
+		Run:   b.dispatch,
+		Shed:  func(cl *caller) { cl.done <- ErrClosed },
+	})
 	return b
 }
 
@@ -82,16 +71,10 @@ func newBatcher(c *Coordinator, max int, window time.Duration, depth int) *batch
 // coordinator answers ErrClosed.
 func (b *batcher) submit(ctx context.Context, x []float64) ([]float64, error) {
 	cl := &caller{ctx: ctx, x: x, y: make([]float64, b.c.rows), done: make(chan error, 1)}
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
+	switch b.q.Submit(cl) {
+	case batch.ErrClosed:
 		return nil, ErrClosed
-	}
-	select {
-	case b.ch <- cl:
-		b.mu.RUnlock()
-	default:
-		b.mu.RUnlock()
+	case batch.ErrFull:
 		b.c.in.shed.Inc()
 		return nil, server.ErrOverloaded
 	}
@@ -106,75 +89,18 @@ func (b *batcher) submit(ctx context.Context, x []float64) ([]float64, error) {
 	}
 }
 
-// loop is the gather goroutine: take the first waiting caller, gather
-// for the window, scatter the panel, reply — until stop, when it sheds
-// the remaining queue.
-func (b *batcher) loop() {
-	defer close(b.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		// Prefer the stop signal over more work: once draining begins the
-		// queue is shed, not served (select alone would pick at random).
-		select {
-		case <-b.stop:
-			b.shedQueued()
-			return
-		default:
-		}
-		select {
-		case <-b.stop:
-			b.shedQueued()
-			return
-		case cl := <-b.ch:
-			b.gather(cl, timer)
-			b.dispatch()
-		}
-	}
-}
-
-// gather fills b.batch with the first caller plus whatever else arrives
-// within the window, up to max. A stop signal ends gathering early but
-// the gathered panel still scatters (those callers are in flight, and
-// the drain contract completes in-flight work).
-func (b *batcher) gather(first *caller, timer *time.Timer) {
-	b.batch = append(b.batch[:0], first)
-	timer.Reset(b.window)
-	defer func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for len(b.batch) < b.max {
-		select {
-		case cl := <-b.ch:
-			b.batch = append(b.batch, cl)
-		case <-timer.C:
-			return
-		case <-b.stop:
-			return
-		}
-	}
-}
-
 // dispatch drops canceled callers pre-flight, scatters the survivors as
 // one panel under the tightest member deadline, and delivers the shared
 // outcome to every live member.
-func (b *batcher) dispatch() {
-	live := b.batch[:0]
-	for _, cl := range b.batch {
+func (b *batcher) dispatch(panel []*caller) {
+	live := panel[:0]
+	for _, cl := range panel {
 		if cl.ctx.Err() != nil {
 			cl.done <- cl.ctx.Err() // nobody may be listening; buffered
 			continue
 		}
 		live = append(live, cl)
 	}
-	b.batch = live
 	if len(live) == 0 {
 		return
 	}
@@ -212,30 +138,7 @@ func minDeadline(live []*caller) (time.Time, bool) {
 	return min, ok
 }
 
-// shedQueued replies ErrClosed to everything still in the queue. It runs
-// after the close flag is set under the write lock, so no new submit can
-// enqueue afterwards and draining to empty is final.
-func (b *batcher) shedQueued() {
-	for {
-		select {
-		case cl := <-b.ch:
-			cl.done <- ErrClosed
-		default:
-			return
-		}
-	}
-}
-
 // close drains and retires the batcher: new submits fail with ErrClosed,
 // the loop finishes its in-flight panel, sheds the queue and exits.
 // Idempotent.
-func (b *batcher) close() {
-	b.mu.Lock()
-	already := b.closed
-	b.closed = true
-	b.mu.Unlock()
-	if !already {
-		close(b.stop)
-	}
-	<-b.done
-}
+func (b *batcher) close() { b.q.Close() }

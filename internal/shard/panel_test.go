@@ -162,45 +162,103 @@ func TestBatchedMulVecBitForBit(t *testing.T) {
 	}
 }
 
-// TestBatchedCancelLeavesSiblingsHealthy: a caller canceled while its
-// panel gathers is dropped pre-flight — it observes its own ctx error —
-// while its panel siblings still receive bit-exact results.
+// gatedInst blocks every kernel call until open is closed, so a test
+// can hold a panel in flight at the worker while callers queue behind
+// it at the coordinator.
+type gatedInst struct {
+	formats.Instance[float64]
+	open chan struct{}
+}
+
+func (g *gatedInst) Mul(x, y []float64) {
+	<-g.open
+	g.Instance.Mul(x, y)
+}
+
+func (g *gatedInst) MulRange(x, y []float64, r0, r1 int) {
+	<-g.open
+	g.Instance.MulRange(x, y, r0, r1)
+}
+
+func (g *gatedInst) MulRangeMulti(x, y []float64, k, r0, r1 int) {
+	<-g.open
+	g.Instance.MulRangeMulti(x, y, k, r0, r1)
+}
+
+// TestBatchedCancelLeavesSiblingsHealthy: a caller canceled while it
+// waits in the queue behind an in-flight panel is dropped pre-flight —
+// it observes its own ctx error and its rows never reach the wire —
+// while the siblings gathered with it still receive bit-exact results
+// as one panel.
 func TestBatchedCancelLeavesSiblingsHealthy(t *testing.T) {
 	leakcheck.Check(t)
-	rig := newChaosRig(t, Options{
-		BatchMax:    8,
-		BatchWindow: 100 * time.Millisecond,
-	})
+	m := testmat.Random[float64](200, 80, 0.1, 17)
+	m.Finalize()
+	w, addr := startWorker(t, server.Config{})
+	inst := csr.FromCOO(m, blocks.Scalar)
+	gate := make(chan struct{})
+	if _, err := w.Registry().RegisterShardInstance("all", &gatedInst{Instance: inst, open: gate}, 0, 200); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(80, []Spec{{Row0: 0, Row1: 200, Replicas: []Replica{{Addr: addr, Matrix: "all"}}}}, Options{BatchMax: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	open := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(open) // runs first: the coordinator drains only once the worker answers
 
+	// A lone caller's panel parks in the worker's kernel and holds the
+	// coordinator's loop in its scatter.
+	x := testVec(80)
+	want := make([]float64, 200)
+	inst.Mul(x, want)
+	held := make(chan error, 1)
+	go func() {
+		_, err := c.MulVec(context.Background(), x)
+		held <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for counter(t, c, "spmv_shard_panels_total") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held panel never scattered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Queue the doomed caller (its MulVec returns only after it is
+	// queued) and two siblings behind the held panel.
 	cctx, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		y   []float64
-		err error
-	}
-	doomed := make(chan outcome, 1)
-	go func() {
-		y, err := rig.coord.MulVec(cctx, rig.x)
-		doomed <- outcome{y, err}
-	}()
-	// Give the doomed caller time to enter the gather window, then cancel
-	// it and join the same panel with a healthy caller.
-	time.Sleep(10 * time.Millisecond)
 	cancel()
-	healthy := make(chan outcome, 1)
-	go func() {
-		y, err := rig.coord.MulVec(context.Background(), rig.x)
-		healthy <- outcome{y, err}
-	}()
-
-	d := <-doomed
-	if !errors.Is(d.err, context.Canceled) || d.y != nil {
-		t.Fatalf("canceled caller: y=%v err=%v", d.y, d.err)
+	if y, err := c.MulVec(cctx, x); !errors.Is(err, context.Canceled) || y != nil {
+		t.Fatalf("canceled caller: y=%v err=%v", y, err)
 	}
-	h := <-healthy
-	if h.err != nil {
-		t.Fatalf("sibling caller: %v", h.err)
+	siblings := make([]*caller, 2)
+	for i := range siblings {
+		siblings[i] = &caller{ctx: context.Background(), x: x, y: make([]float64, 200), done: make(chan error, 1)}
+		if err := c.bat.q.Submit(siblings[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rig.assertBitExact(t, h.y)
+	open()
+	if err := <-held; err != nil {
+		t.Fatalf("held caller: %v", err)
+	}
+	for i, cl := range siblings {
+		if err := <-cl.done; err != nil {
+			t.Fatalf("sibling %d: %v", i, err)
+		}
+		for j := range want {
+			if math.Float64bits(cl.y[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("sibling %d: y[%d] = %x, want %x", i, j, math.Float64bits(cl.y[j]), math.Float64bits(want[j]))
+			}
+		}
+	}
+	// The held k=1 panel, then the siblings as one k=2 panel: the doomed
+	// caller was gathered with them but its rows never went out.
+	if bk := histogram(t, c, "spmv_shard_batch_k"); bk.Count != 2 || bk.Sum != 3 {
+		t.Fatalf("batch_k: %d panels of %g vectors in all, want the held k=1 and one k=2 panel", bk.Count, bk.Sum)
+	}
 }
 
 // TestBatchedOverloadSheds: a batcher whose queue is full sheds new

@@ -63,15 +63,17 @@ type Options struct {
 	// before a half-open probe. <= 0 select 5 and 500ms.
 	BreakerAfter    int
 	BreakerCooldown time.Duration
-	// BatchMax enables the coordinator-side gather-window batcher:
-	// concurrent MulVec callers are coalesced into panels of up to this
+	// BatchMax enables the coordinator-side batcher: MulVec callers
+	// that are queued together are coalesced into panels of up to this
 	// many right-hand sides before scattering, so each shard receives one
 	// SpS2 frame per panel — and streams its row block once per panel —
 	// instead of one SpS1 frame per call. <= 1 disables batching (the
 	// default): every call scatters immediately.
 	BatchMax int
-	// BatchWindow is how long the batcher holds a panel's first caller
-	// while gathering more; <= 0 with BatchMax > 1 selects 200us.
+	// BatchWindow is how long the batcher holds a panel open for more
+	// callers, which it does only right after scattering a panel that
+	// more than one caller shared; otherwise a caller goes with whatever
+	// is already queued, at once. <= 0 with BatchMax > 1 selects 200us.
 	BatchWindow time.Duration
 	// QueueDepth bounds the batcher's admission queue; <= 0 selects 256.
 	// A full queue sheds new callers with server.ErrOverloaded.
