@@ -2,8 +2,8 @@
 # from ROADMAP.md; `make race` exercises the concurrent packages (the
 # worker-pool executor, the vector kernels, the solvers built on them,
 # the serving batchers and the fault-injection harness) under the race
-# detector; `make fuzz` runs a short smoke pass of every fuzz target over
-# the untrusted-input parsers; `make gencheck` regenerates the block
+# detector; `make fuzz` runs a short smoke pass of every fuzz target in
+# the tree (found with go test -list); `make gencheck` regenerates the block
 # kernels into a temp dir and fails if the committed *_gen.go files have
 # drifted from the generator.
 
@@ -48,18 +48,17 @@ test:
 race:
 	$(GO) test -race -count=3 $(RACE_PKGS)
 
-# Go runs one fuzz target per invocation, so each gets its own line.
+# Go runs one fuzz target per invocation. The targets come from the test
+# binaries themselves (go test -list), so every Fuzz function in the tree
+# is run and a new one needs no edit here.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadMatrixMarket$$' -fuzztime $(FUZZTIME) ./internal/mat
-	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/profile
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVector$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzShardFrame$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzShardPanelFrame$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzUpdateFrame$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzVBRPartition$$' -fuzztime $(FUZZTIME) ./internal/partition
-	$(GO) test -run '^$$' -fuzz '^FuzzVBLRowBlocks$$' -fuzztime $(FUZZTIME) ./internal/partition
-	$(GO) test -run '^$$' -fuzz '^FuzzSELLConstruction$$' -fuzztime $(FUZZTIME) ./internal/sell
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { t[n++] = $$1; next } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0; next } \
+		/^FAIL/ { bad = 1 } END { exit bad }') || exit 1; \
+	echo "$$targets" | while read -r pkg target; do \
+		echo "fuzz $$target ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench 'MulVecWorkers|SolveCGWorkers' -benchmem \

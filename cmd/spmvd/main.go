@@ -52,7 +52,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 		profPath   = flag.String("profile", "", "kernel profile JSON (enables the OVERLAP model)")
 		load       = flag.String("load", "", "comma-separated name=path MatrixMarket files to preload")
-		shardMode  = flag.Bool("shard", false, "enable the shard-worker endpoints (PUT /v1/shard/{name}, POST /v1/shard/{name}/mulvec[s]) so a coordinator can scatter row blocks here")
+		shardMode  = flag.Bool("shard", false, "enable the shard-worker endpoints (PUT /v1/shard/{name}, POST /v1/shard/{name}/mulvecs) so a coordinator can scatter row blocks here")
 		panelMax   = flag.Int("shard-panel-max", 0, "max right-hand sides accepted per shard panel frame (0 = default 1024)")
 		detect     = flag.Bool("detect", true, "run STREAM machine detection at startup (false degrades selection to scalar CSR)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")

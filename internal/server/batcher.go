@@ -9,19 +9,16 @@ import (
 	"blockspmv/internal/parallel"
 )
 
-// request is one admitted MulVec, MulVecs or update request travelling
-// through a batcher: a single x/y vector pair, a k-wide panel in xs/ys
-// (xs non-nil marks the panel form), or a mutation closure in apply.
-// Updates ride the same queue as multiplies so the loop goroutine — the
-// single owner of the pool — serializes them against whole panels: a
-// multiply never observes a half-applied batch, and every multiply
-// queued after an update sees it.
+// request is one admitted multiply or update travelling through a
+// batcher: a k-wide panel in xs/ys (a single vector is a panel of one),
+// or a mutation closure in apply. Updates ride the same queue as
+// multiplies so the loop goroutine — the single owner of the pool —
+// serializes them against whole panels: a multiply never observes a
+// half-applied batch, and every multiply queued after an update sees it.
 type request struct {
 	ctx   context.Context
-	x     []float64
-	y     []float64 // result, written by the batch loop before done is signalled
 	xs    [][]float64
-	ys    [][]float64
+	ys    [][]float64  // results, written by the batch loop before done is signalled
 	apply func() error // overlay mutation, run on the loop between panels
 	enq   time.Time
 	// done carries the request's outcome. Buffered so the batch loop
@@ -33,15 +30,7 @@ type request struct {
 // panel; updates contribute none, which closes the panel: requests
 // behind an update must observe its effect, so they wait for the next
 // dispatch.
-func (r *request) width() int {
-	if r.apply != nil {
-		return 0
-	}
-	if r.xs != nil {
-		return len(r.xs)
-	}
-	return 1
-}
+func (r *request) width() int { return len(r.xs) }
 
 // batcher coalesces concurrent requests against one matrix into k-wide
 // panels and dispatches them through the pooled MulVecs path, so the
@@ -53,7 +42,7 @@ func (r *request) width() int {
 // backlog. The gather loop and its rule (hold a panel open only right
 // after a shared one) live in internal/batch; its single goroutine owns
 // the parallel.Mul pool (whose MulVec/MulVecs contract is
-// single-caller). A panel of one request goes through the plain
+// single-caller). A panel of one vector goes through the plain
 // single-vector MulVec, paying no panel pack/unpack.
 //
 // close drains rather than aborts: the in-flight batch completes and
@@ -91,23 +80,14 @@ func newBatcher(pool *parallel.Mul[float64], max int, window time.Duration, dept
 	return b
 }
 
-// submit admits one request and blocks until it is answered or ctx is
-// done. The returned vector is freshly allocated per request (responses
-// race with subsequent batches otherwise). Shedding — queue full or
-// batcher draining — fails fast with ErrOverloaded.
-func (b *batcher) submit(ctx context.Context, x []float64) ([]float64, error) {
-	r := &request{ctx: ctx, x: x, y: make([]float64, b.rows)}
-	if err := b.admit(ctx, r); err != nil {
-		return nil, err
-	}
-	return r.y, nil
-}
-
-// submitPanel is the multi-RHS form of submit: one admitted request
-// carrying a whole k-wide panel, so a coordinator-coalesced batch enters
-// the queue — and the kernel — as a unit. A panel wider than the
-// configured cap is still served in one dispatch (it is one request; the
-// cap bounds coalescing of additional requests, not callers' panels).
+// submitPanel admits one request carrying a k-wide panel and blocks
+// until it is answered or ctx is done, so a coordinator-coalesced batch
+// enters the queue — and the kernel — as a unit. The returned vectors
+// are freshly allocated per request (responses race with subsequent
+// batches otherwise). A panel wider than the configured cap is still
+// served in one dispatch (it is one request; the cap bounds coalescing
+// of additional requests, not callers' panels). Shedding — queue full
+// or batcher draining — fails fast with ErrOverloaded.
 func (b *batcher) submitPanel(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	ys := make([][]float64, len(xs))
 	flat := make([]float64, len(xs)*b.rows)
@@ -166,8 +146,8 @@ func (b *batcher) observeReply(r *request, err error) {
 }
 
 // execute dispatches one gathered panel: canceled requests are dropped
-// (their submit already returned), one live request goes through the
-// single-vector path, several go through one MulVecs panel, and a
+// (their admit already returned), a lone vector goes through the
+// single-vector path, anything wider through one MulVecs panel, and a
 // trailing update (it closed the panel) runs after the multiply so the
 // requests gathered before it still see the pre-update matrix. Every
 // live request receives its own outcome — nil, the typed pool error, or
@@ -192,13 +172,8 @@ func (b *batcher) execute(panel []*request) {
 	if len(live) > 0 {
 		b.xs, b.ys = b.xs[:0], b.ys[:0]
 		for _, r := range live {
-			if r.xs != nil {
-				b.xs = append(b.xs, r.xs...)
-				b.ys = append(b.ys, r.ys...)
-			} else {
-				b.xs = append(b.xs, r.x)
-				b.ys = append(b.ys, r.y)
-			}
+			b.xs = append(b.xs, r.xs...)
+			b.ys = append(b.ys, r.ys...)
 		}
 		b.in.batchSize.Observe(float64(len(b.xs)))
 		var err error

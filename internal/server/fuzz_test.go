@@ -33,46 +33,6 @@ func FuzzDecodeVector(f *testing.F) {
 	})
 }
 
-// FuzzShardFrame drives both shard-frame decoders with arbitrary bytes:
-// neither may panic, allocation is bounded by the real body length, and
-// any accepted frame must be canonical — re-encoding the decoded range
-// and elements reproduces the input bit for bit (which also proves the
-// stored CRC is the one the encoder would compute).
-func FuzzShardFrame(f *testing.F) {
-	f.Add(mustEncodeShardReq(f, 0, 4, []float64{1, 2, 3}))
-	f.Add(mustEncodeShardReq(f, 9, 9, nil))
-	f.Add(mustEncodePartial(f, 3, 6, []float64{math.NaN(), math.Inf(-1), -0.0}))
-	f.Add(mustEncodePartial(f, 0, 0, nil))
-	f.Add([]byte("SpS1 not a real payload, far too short"))
-	f.Add([]byte("SpP1 not a real payload, far too short"))
-	hole := mustEncodeShardReq(f, 1, 5, []float64{4, 5})
-	f.Add(hole[:len(hole)-3])
-	bad := mustEncodePartial(f, 0, 2, []float64{6, 7})
-	bad[partialHeaderLen] ^= 0x01 // CRC now stale
-	f.Add(bad)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if r0, r1, x, err := DecodeShardRequestInto(nil, data, 1<<16); err == nil {
-			re, err := EncodeShardRequest(r0, r1, x)
-			if err != nil {
-				t.Fatalf("re-encode accepted request: %v", err)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("request not canonical:\n in %x\nout %x", data, re)
-			}
-		}
-		if r0, r1, y, err := DecodePartialInto(nil, data, 1<<16); err == nil {
-			re, err := EncodePartial(r0, r1, y)
-			if err != nil {
-				t.Fatalf("re-encode accepted partial: %v", err)
-			}
-			if !bytes.Equal(re, data) {
-				t.Fatalf("partial not canonical:\n in %x\nout %x", data, re)
-			}
-		}
-	})
-}
-
 // FuzzShardPanelFrame drives both panel-frame decoders with arbitrary
 // bytes: neither may panic, allocation is bounded by the real body
 // length, and any accepted frame must be canonical — re-encoding the
@@ -91,6 +51,11 @@ func FuzzShardPanelFrame(f *testing.F) {
 	bad := mustEncodePanelPart(f, 0, 2, [][]float64{{6, 7}})
 	bad[panelPartHeaderLen] ^= 0x01 // CRC now stale
 	f.Add(bad)
+	f.Add(mustEncodePanelReq(f, 0, 4, [][]float64{{1, 2, 3}}))
+	f.Add(mustEncodePanelPart(f, 0, 0, [][]float64{{}}))
+	// The retired version-1 magics must stay rejected.
+	f.Add(append([]byte{'S', 'p', 'S', '1'}, " not a real payload, far too short"...))
+	f.Add(append([]byte{'S', 'p', 'P', '1'}, " not a real payload, far too short"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r0, r1, n, k, flat, err := DecodePanelInto(nil, data, 1<<16, 64); err == nil {

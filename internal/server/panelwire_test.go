@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -30,7 +30,9 @@ func TestPanelWireRoundTrip(t *testing.T) {
 		row0, row1 int
 		xs         [][]float64
 	}{
+		{0, 0, [][]float64{{}}},
 		{0, 4, [][]float64{{1.5, -2}}},
+		{100, 228, [][]float64{{0, -1, math.Pi, math.Inf(1), math.NaN(), -0.0, math.Inf(-1)}}},
 		{7, 7, [][]float64{{}, {}}},
 		{100, 228, [][]float64{
 			{0, -1, math.Pi},
@@ -60,48 +62,41 @@ func TestPanelWireRoundTrip(t *testing.T) {
 	}
 
 	// Partial panels: per-vector length is pinned to the row range.
-	ys := [][]float64{{2, -4, math.NaN(), 8}, {0, -0.0, 1, 2}}
-	part := mustEncodePanelPart(t, 10, 14, ys)
-	r0, r1, k, flat, err := DecodePartialPanelInto(nil, part, 4, 2)
-	if err != nil {
-		t.Fatalf("decode partial panel: %v", err)
+	parts := []struct {
+		row0, row1 int
+		ys         [][]float64
+	}{
+		{5, 5, [][]float64{{}}},
+		{3, 7, [][]float64{{math.NaN(), -0.0, math.Inf(1), math.Inf(-1)}}},
+		{10, 14, [][]float64{{2, -4, math.NaN(), 8}, {0, -0.0, 1, 2}}},
 	}
-	if r0 != 10 || r1 != 14 || k != 2 {
-		t.Fatalf("partial panel round trip: [%d,%d) k=%d", r0, r1, k)
-	}
-	got := PanelVecs(nil, flat, 4, 2)
-	for l := range ys {
-		for i := range ys[l] {
-			if math.Float64bits(got[l][i]) != math.Float64bits(ys[l][i]) {
-				t.Fatalf("partial vector %d element %d: %v != %v (bit-level)", l, i, got[l][i], ys[l][i])
+	for _, tc := range parts {
+		rows, k := tc.row1-tc.row0, len(tc.ys)
+		part := mustEncodePanelPart(t, tc.row0, tc.row1, tc.ys)
+		r0, r1, gk, flat, err := DecodePartialPanelInto(nil, part, rows, k)
+		if err != nil {
+			t.Fatalf("decode partial panel [%d,%d): %v", tc.row0, tc.row1, err)
+		}
+		if r0 != tc.row0 || r1 != tc.row1 || gk != k {
+			t.Fatalf("partial panel round trip: [%d,%d) k=%d, want [%d,%d) k=%d", r0, r1, gk, tc.row0, tc.row1, k)
+		}
+		got := PanelVecs(nil, flat, rows, k)
+		for l := range tc.ys {
+			for i := range tc.ys[l] {
+				if math.Float64bits(got[l][i]) != math.Float64bits(tc.ys[l][i]) {
+					t.Fatalf("partial vector %d element %d: %v != %v (bit-level)", l, i, got[l][i], tc.ys[l][i])
+				}
 			}
 		}
-	}
-}
-
-// TestPanelWireK1ByteCompat pins the interop contract: at k=1 the
-// element bytes of a panel frame are exactly the element bytes of the
-// corresponding SpS1/SpP1 frame, so the coordinator's "send SpS1 at
-// k=1" fallback changes headers, never data.
-func TestPanelWireK1ByteCompat(t *testing.T) {
-	x := []float64{1, -2.5, math.NaN(), -0.0, math.Inf(1)}
-	panel := mustEncodePanelReq(t, 3, 9, [][]float64{x})
-	single := mustEncodeShardReq(t, 3, 9, x)
-	if !bytes.Equal(panel[panelReqHeaderLen:], single[shardReqHeaderLen:]) {
-		t.Fatal("k=1 panel request element bytes differ from SpS1")
-	}
-
-	y := []float64{4, 5, -6}
-	pp := mustEncodePanelPart(t, 0, 3, [][]float64{y})
-	sp := mustEncodePartial(t, 0, 3, y)
-	if !bytes.Equal(pp[panelPartHeaderLen:], sp[partialHeaderLen:]) {
-		t.Fatal("k=1 partial panel element bytes differ from SpP1")
 	}
 }
 
 func TestPanelWireEncodeGuards(t *testing.T) {
 	if _, err := EncodeShardPanel(4, 2, [][]float64{{1}}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("inverted panel range: err = %v, want ErrWireRange", err)
+	}
+	if _, err := EncodeShardPanel(-1, 2, [][]float64{{1}}); !errors.Is(err, ErrWireRange) {
+		t.Errorf("negative row0: err = %v, want ErrWireRange", err)
 	}
 	// An empty panel claims rows while carrying nothing; refused.
 	if _, err := EncodeShardPanel(0, 4, nil); !errors.Is(err, ErrWirePanel) {
@@ -133,9 +128,16 @@ func TestPanelWireDecodeErrors(t *testing.T) {
 		c[at] ^= 0x40
 		return c
 	}
-	setK := func(data []byte, off int, k uint32) []byte {
+	setU32 := func(data []byte, off int, v uint32) []byte {
 		c := append([]byte{}, data...)
-		c[off], c[off+1], c[off+2], c[off+3] = byte(k), byte(k>>8), byte(k>>16), byte(k>>24)
+		binary.LittleEndian.PutUint32(c[off:], v)
+		return c
+	}
+	// A frame of the retired single-vector family: the same magic with
+	// version byte '1'.
+	v1 := func(data []byte) []byte {
+		c := append([]byte{}, data...)
+		c[3] = '1'
 		return c
 	}
 
@@ -148,10 +150,11 @@ func TestPanelWireDecodeErrors(t *testing.T) {
 		{"empty", nil, 8, 8, ErrWireTruncated},
 		{"short header", req[:24], 8, 8, ErrWireTruncated},
 		{"vector magic", mustEncode(t, []float64{1, 2, 3}), 8, 8, ErrWireMagic},
-		{"sps1 magic", mustEncodeShardReq(t, 2, 6, []float64{1, 2, 3}), 8, 8, ErrWireMagic},
+		{"version-1 magic", v1(req), 8, 8, ErrWireMagic},
+		{"inverted range", setU32(req, 12, 1), 8, 8, ErrWireRange},
 		{"oversized n", req, 2, 8, ErrWireTooLarge},
 		{"oversized k", req, 8, 1, ErrWirePanel},
-		{"forged k=0", setK(req, 20, 0), 8, 8, ErrWirePanel},
+		{"forged k=0", setU32(req, 20, 0), 8, 8, ErrWirePanel},
 		{"truncated body", req[:len(req)-1], 8, 8, ErrWireTruncated},
 		{"trailing", append(append([]byte{}, req...), 0), 8, 8, ErrWireTrailing},
 		{"corrupt element", corrupt(req, panelReqHeaderLen+5), 8, 8, ErrWireChecksum},
@@ -172,10 +175,11 @@ func TestPanelWireDecodeErrors(t *testing.T) {
 		{"empty", nil, 8, 8, ErrWireTruncated},
 		{"short header", part[:20], 8, 8, ErrWireTruncated},
 		{"request magic", req, 8, 8, ErrWireMagic},
-		{"spp1 magic", mustEncodePartial(t, 2, 5, []float64{1, 2, 3}), 8, 8, ErrWireMagic},
+		{"version-1 magic", v1(part), 8, 8, ErrWireMagic},
+		{"inverted range", setU32(part, 12, 1), 8, 8, ErrWireRange},
 		{"oversized range", part, 2, 8, ErrWireTooLarge},
 		{"oversized k", part, 8, 1, ErrWirePanel},
-		{"forged k=0", setK(part, 16, 0), 8, 8, ErrWirePanel},
+		{"forged k=0", setU32(part, 16, 0), 8, 8, ErrWirePanel},
 		{"truncated body", part[:len(part)-2], 8, 8, ErrWireTruncated},
 		{"trailing", append(append([]byte{}, part...), 0), 8, 8, ErrWireTrailing},
 		{"corrupt element", corrupt(part, panelPartHeaderLen), 8, 8, ErrWireChecksum},
@@ -189,45 +193,53 @@ func TestPanelWireDecodeErrors(t *testing.T) {
 	// Forged counts cannot drive a large allocation: n, k and their
 	// product are validated against the caps and the actual body length
 	// before the flat slice exists.
-	forgedN := setK(req, 16, 0xffffffff)
+	forgedN := setU32(req, 16, 0xffffffff)
 	if _, _, _, _, _, err := DecodePanelInto(nil, forgedN, 1<<30, 8); !errors.Is(err, ErrWireTooLarge) {
 		t.Fatalf("forged panel n: err = %v, want ErrWireTooLarge", err)
 	}
-	forgedK := setK(part, 16, 0xffffffff)
+	forgedK := setU32(part, 16, 0xffffffff)
 	if _, _, _, _, err := DecodePartialPanelInto(nil, forgedK, 8, 1<<33); !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("forged partial k: err = %v, want ErrWireTruncated", err)
+	}
+	forgedRows := setU32(mustEncodePanelPart(t, 2, 5, [][]float64{{1, 2, 3}}), 12, 0xffff)
+	if _, _, _, _, err := DecodePartialPanelInto(nil, forgedRows, 1<<30, 1); !errors.Is(err, ErrWireTruncated) {
+		t.Fatalf("forged partial range: err = %v, want ErrWireTruncated", err)
 	}
 }
 
 // TestPanelWireZeroAlloc pins the pooled panel paths: steady-state
 // encode into sufficient capacity and decode into sufficient scratch
-// perform no allocations — the batched scatter path depends on both.
+// perform no allocations — the scatter path depends on both. k=1 takes
+// the straight-vector branches of the encoder and of deinterleave.
 func TestPanelWireZeroAlloc(t *testing.T) {
-	xs := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
-	req := mustEncodePanelReq(t, 0, 9, xs)
-	part := mustEncodePanelPart(t, 0, 4, xs)
-	scratch := make([]float64, 0, 16)
-	buf := make([]byte, 0, len(req)+8)
+	panel := [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
+	for _, xs := range [][][]float64{panel[:1], panel} {
+		k := len(xs)
+		req := mustEncodePanelReq(t, 0, 9, xs)
+		part := mustEncodePanelPart(t, 0, 4, xs)
+		scratch := make([]float64, 0, 16)
+		buf := make([]byte, 0, len(req)+8)
 
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := AppendShardPanel(buf[:0], 0, 9, xs); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := AppendShardPanel(buf[:0], 0, 9, xs); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("k=%d: steady-state AppendShardPanel allocates %.1f/op, want 0", k, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("steady-state AppendShardPanel allocates %.1f/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, _, _, err := DecodePanelInto(scratch, req, 16, 4); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, _, _, _, err := DecodePanelInto(scratch, req, 16, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("k=%d: steady-state DecodePanelInto allocates %.1f/op, want 0", k, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("steady-state DecodePanelInto allocates %.1f/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, _, err := DecodePartialPanelInto(scratch, part, 16, 4); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, _, _, err := DecodePartialPanelInto(scratch, part, 16, 4); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("k=%d: steady-state DecodePartialPanelInto allocates %.1f/op, want 0", k, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("steady-state DecodePartialPanelInto allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -64,11 +64,10 @@ type Config struct {
 	// registry (reachable via Server.Metrics).
 	Metrics *metrics.Registry
 
-	// EnableShard exposes the row-shard endpoints (PUT /v1/shard/{name},
-	// POST /v1/shard/{name}/mulvec and /mulvecs), turning this node into a
-	// shard worker a coordinator can scatter to. Off by default: a
-	// standalone daemon has no business accepting partial-matrix
-	// registrations.
+	// EnableShard exposes the row-shard endpoints (PUT /v1/shard/{name}
+	// and POST /v1/shard/{name}/mulvecs), turning this node into a shard
+	// worker a coordinator can scatter to. Off by default: a standalone
+	// daemon has no business accepting partial-matrix registrations.
 	EnableShard bool
 	// MaxPanelK caps the panel width a shard panel frame may declare;
 	// <= 0 selects 1024. It bounds the worker's per-request allocation
@@ -529,32 +528,25 @@ func (g *Registry) refreshOverlayGaugesLocked() {
 	g.in.ovExtraBytes.Set(extra)
 }
 
-// MulVec runs one request against the named matrix through its batcher:
-// admitted into the bounded queue, coalesced into a panel when traffic
-// allows, answered with a freshly allocated result vector. Errors are
-// typed: ErrNotFound, ErrOverloaded, a *formats.DimError for shape
-// mismatches, context errors, and the pool's panic/poisoned errors.
+// MulVec runs one vector against the named matrix as a panel of one
+// (see MulVecs), answered with a freshly allocated result vector.
 func (g *Registry) MulVec(ctx context.Context, name string, x []float64) ([]float64, error) {
-	e, err := g.acquire(name)
+	ys, err := g.MulVecs(ctx, name, [][]float64{x})
 	if err != nil {
 		return nil, err
 	}
-	defer g.release(e)
-	if len(x) != e.info.Cols {
-		return nil, &formats.DimError{
-			Format: e.info.Format, Rows: e.info.Rows, Cols: e.info.Cols,
-			LenX: len(x), LenY: e.info.Rows,
-		}
-	}
-	return e.bat.submit(ctx, x)
+	return ys[0], nil
 }
 
 // MulVecs runs a k-wide panel against the named matrix as one batcher
-// request: the whole panel is dispatched in a single MulVecs kernel
-// invocation (possibly coalesced with other concurrent requests), so the
-// matrix stream is paid once for all k vectors. Every xs[l] must have
-// Cols elements; an empty panel is a *formats.PanelError — a request
-// carrying nothing has no well-formed reply.
+// request: admitted into the bounded queue, dispatched in a single
+// kernel invocation (possibly coalesced with other concurrent requests,
+// so the matrix stream is paid once for all of them), answered with
+// freshly allocated result vectors. Every xs[l] must have Cols elements.
+// Errors are typed: ErrNotFound, ErrOverloaded, a *formats.DimError for
+// shape mismatches, a *formats.PanelError for an empty panel (a request
+// carrying nothing has no well-formed reply), context errors, and the
+// pool's panic/poisoned errors.
 func (g *Registry) MulVecs(ctx context.Context, name string, xs [][]float64) ([][]float64, error) {
 	e, err := g.acquire(name)
 	if err != nil {

@@ -151,7 +151,7 @@ func TestRegistryRefCountedEviction(t *testing.T) {
 		t.Fatalf("registration over a busy cache: err = %v, want ErrCacheFull", err)
 	}
 	// The pinned entry still serves while unevictable.
-	if _, err := e.bat.submit(context.Background(), testVec(30)); err != nil {
+	if _, err := e.bat.submitPanel(context.Background(), [][]float64{testVec(30)}); err != nil {
 		t.Fatalf("pinned entry refused work: %v", err)
 	}
 	g.release(e)
@@ -188,14 +188,14 @@ func TestRegistryRemoveWithInFlight(t *testing.T) {
 	if _, err := g.MulVec(context.Background(), "m", testVec(30)); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("removed matrix still resolvable: %v", err)
 	}
-	y, err := e.bat.submit(context.Background(), testVec(30))
+	ys, err := e.bat.submitPanel(context.Background(), [][]float64{testVec(30)})
 	if err != nil {
 		t.Fatalf("in-flight use of removed matrix failed: %v", err)
 	}
 	want := refMul(m, testVec(30))
 	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Fatalf("y[%d] = %g, want %g", i, y[i], want[i])
+		if math.Abs(ys[0][i]-want[i]) > 1e-12 {
+			t.Fatalf("y[%d] = %g, want %g", i, ys[0][i], want[i])
 		}
 	}
 	g.release(e)

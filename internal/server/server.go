@@ -71,7 +71,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/matrix/{name}/update", s.handleUpdate)
 	if cfg.EnableShard {
 		s.mux.HandleFunc("PUT /v1/shard/{name}", s.handleShardRegister)
-		s.mux.HandleFunc("POST /v1/shard/{name}/mulvec", s.handleShardMulVec)
 		s.mux.HandleFunc("POST /v1/shard/{name}/mulvecs", s.handleShardMulVecs)
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

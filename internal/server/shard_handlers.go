@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"blockspmv/internal/formats"
 )
 
 // The shard endpoints make one daemon a row-shard worker: a coordinator
 // (internal/shard) registers the rows [row0, row1) of a larger matrix
-// here, then scatters CRC-protected SpS1 frames at the mulvec endpoint
-// and gathers the SpP1 partials. The worker never sees the full matrix;
+// here, then scatters CRC-protected SpS2 frames at the mulvecs endpoint
+// and gathers the SpP2 partials. The worker never sees the full matrix;
 // it serves its row block through the same autotune/pool/batcher path a
 // whole matrix takes, so the robustness envelope (admission control,
 // panic isolation, deadline propagation) is inherited, not rebuilt.
@@ -45,81 +47,12 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(info)
 }
 
-// handleShardMulVec is the shard data plane: decode the SpS1 frame into
-// pooled scratch, check its row range against the registered shard (a
-// frame routed to the wrong worker must fail loudly, never compute the
-// wrong rows), run the local block through the batcher, answer with the
-// SpP1 partial.
-func (s *Server) handleShardMulVec(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	info, err := s.reg.Lookup(name)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.in.reqBad.Inc()
-		s.writeErr(w, err)
-		return
-	}
-	scratch := vecScratch.Get().(*[]float64)
-	row0, row1, x, err := DecodeShardRequestInto((*scratch)[:0], data, info.Cols)
-	if err != nil {
-		vecScratch.Put(scratch)
-		s.in.reqBad.Inc()
-		s.writeErr(w, err)
-		return
-	}
-	if !info.Sharded || row0 != info.ShardRow0 || row1 != info.ShardRow1 {
-		vecScratch.Put(scratch)
-		s.in.reqBad.Inc()
-		s.writeErr(w, fmt.Errorf("%w: frame [%d, %d) against shard [%d, %d)",
-			ErrWireRange, row0, row1, info.ShardRow0, info.ShardRow1))
-		return
-	}
-
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		vecScratch.Put(scratch)
-		s.in.reqBad.Inc()
-		s.writeErr(w, err)
-		return
-	}
-	defer cancel()
-
-	y, err := s.reg.MulVec(ctx, name, x)
-	// The batcher's submit can return on context expiry while the batch
-	// loop still holds x for a dispatch it has not yet dropped; repooling
-	// the scratch then would hand the kernel a buffer another request is
-	// overwriting. Only a done-channel outcome (success or a non-context
-	// error) proves the loop is finished with x.
-	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		if cap(x) > cap(*scratch) {
-			*scratch = x[:0]
-		}
-		vecScratch.Put(scratch)
-	}
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	out, err := EncodePartial(row0, row1, y)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", ContentTypePartial)
-	w.Write(out)
-}
-
-// handleShardMulVecs is the panel data plane: decode the SpS2 frame
-// into pooled scratch, check its row range against the registered shard,
-// run the k-wide panel through the batcher as one MulVecs dispatch —
-// paying the row block's matrix stream once for all k vectors — and
-// answer with the SpP2 panel partial. At k=1 the semantics are exactly
-// handleShardMulVec's; the coordinator sends SpS1 then, but a k=1 SpS2
-// is accepted.
+// handleShardMulVecs is the shard data plane: decode the SpS2 frame
+// into pooled scratch, check its row range (a frame routed to the wrong
+// worker must fail loudly, never compute the wrong rows) and its vector
+// length against the registered shard, run the k-wide panel through the
+// batcher as one MulVecs dispatch — paying the row block's matrix stream
+// once for all k vectors — and answer with the SpP2 panel partial.
 func (s *Server) handleShardMulVecs(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := s.reg.Lookup(name)
@@ -135,17 +68,18 @@ func (s *Server) handleShardMulVecs(w http.ResponseWriter, r *http.Request) {
 	}
 	scratch := vecScratch.Get().(*[]float64)
 	row0, row1, n, k, flat, err := DecodePanelInto((*scratch)[:0], data, info.Cols, s.cfg.MaxPanelK)
+	switch {
+	case err != nil: // reported below
+	case !info.Sharded || row0 != info.ShardRow0 || row1 != info.ShardRow1:
+		err = fmt.Errorf("%w: frame [%d, %d) against shard [%d, %d)",
+			ErrWireRange, row0, row1, info.ShardRow0, info.ShardRow1)
+	case n != info.Cols:
+		err = &formats.DimError{Format: info.Format, Rows: info.Rows, Cols: info.Cols, LenX: n, LenY: info.Rows}
+	}
 	if err != nil {
 		vecScratch.Put(scratch)
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)
-		return
-	}
-	if !info.Sharded || row0 != info.ShardRow0 || row1 != info.ShardRow1 {
-		vecScratch.Put(scratch)
-		s.in.reqBad.Inc()
-		s.writeErr(w, fmt.Errorf("%w: frame [%d, %d) against shard [%d, %d)",
-			ErrWireRange, row0, row1, info.ShardRow0, info.ShardRow1))
 		return
 	}
 	xs := PanelVecs(make([][]float64, 0, k), flat, n, k)
@@ -160,8 +94,11 @@ func (s *Server) handleShardMulVecs(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	ys, err := s.reg.MulVecs(ctx, name, xs)
-	// Same repool rule as the single-vector handler: on a context outcome
-	// the batch loop may still hold the panel, so the scratch is forfeit.
+	// The batcher's submitPanel can return on context expiry while the batch
+	// loop still holds the panel for a dispatch it has not yet dropped;
+	// repooling the scratch then would hand the kernel a buffer another
+	// request is overwriting. Only a done-channel outcome (success or a
+	// non-context error) proves the loop is finished with the panel.
 	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		if cap(flat) > cap(*scratch) {
 			*scratch = flat[:0]

@@ -24,64 +24,13 @@ func sliceRows(m *mat.COO[float64], row0, row1 int) *mat.COO[float64] {
 	return sub
 }
 
-// TestShardEndpoints walks the worker face of the sharded data plane:
-// register a row block over HTTP, multiply through the SpS1/SpP1 frames,
-// and confirm the partial equals the matching slice of the single-node
-// reference bit for bit.
-func TestShardEndpoints(t *testing.T) {
-	leakcheck.Check(t)
-	_, base, client, stop := startServer(t, Config{Workers: 2, EnableShard: true})
-	defer stop()
-
-	m := testmat.Random[float64](60, 40, 0.15, 7)
-	m.Finalize()
-	const row0, row1 = 20, 50
-	sub := sliceRows(m, row0, row1)
-
-	var info Info
-	status, body := doJSON(t, client, http.MethodPut,
-		base+"/v1/shard/demo?row0=20&row1=50", mmBody(t, sub), &info)
-	if status != http.StatusCreated {
-		t.Fatalf("shard register: %d %s", status, body)
-	}
-	if !info.Sharded || info.ShardRow0 != row0 || info.ShardRow1 != row1 || info.Rows != row1-row0 || info.Cols != 40 {
-		t.Fatalf("shard info = %+v", info)
-	}
-
-	x := testVec(40)
-	frame := mustEncodeShardReq(t, row0, row1, x)
-	resp, err := client.Post(base+"/v1/shard/demo/mulvec", ContentTypeShardRequest, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard mulvec: %d %s", resp.StatusCode, data)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypePartial {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	r0, r1, y, err := DecodePartialInto(nil, data, row1-row0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0 != row0 || r1 != row1 {
-		t.Fatalf("partial range [%d, %d)", r0, r1)
-	}
-	want := refMul(sub, x)
-	for i := range want {
-		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("y[%d] = %g, want %g (bit-level)", i, y[i], want[i])
-		}
-	}
-}
-
 // TestShardEndpointErrors covers the rejection paths: range mismatches
-// (frame routed to the wrong worker), corrupted frames, bad
-// registrations, and the gate — shard routes absent unless EnableShard.
+// (frame routed to the wrong worker), corrupted frames, vectors of the
+// wrong width, bad registrations, and the gate — shard routes absent
+// unless EnableShard. Every rejected frame counts as a bad request.
 func TestShardEndpointErrors(t *testing.T) {
 	leakcheck.Check(t)
-	_, base, client, stop := startServer(t, Config{EnableShard: true})
+	s, base, client, stop := startServer(t, Config{EnableShard: true})
 	defer stop()
 
 	m := testmat.Random[float64](30, 20, 0.2, 8)
@@ -106,25 +55,33 @@ func TestShardEndpointErrors(t *testing.T) {
 	x := testVec(20)
 	post := func(frame []byte) (int, []byte) {
 		t.Helper()
-		resp, err := client.Post(base+"/v1/shard/ok/mulvec", ContentTypeShardRequest, bytes.NewReader(frame))
+		resp, err := client.Post(base+"/v1/shard/ok/mulvecs", ContentTypePanelRequest, bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp.StatusCode, readAll(t, resp)
 	}
+	reject := func(what string, frame []byte) {
+		t.Helper()
+		before := s.in.reqBad.Value()
+		if status, body := post(frame); status != http.StatusBadRequest {
+			t.Fatalf("%s: %d %s", what, status, body)
+		}
+		if got := s.in.reqBad.Value() - before; got != 1 {
+			t.Fatalf("%s: bad-request counter moved by %d, want 1", what, got)
+		}
+	}
 
 	// A frame claiming a different row range than the resident shard.
-	if status, body := post(mustEncodeShardReq(t, 0, 20, x)); status != http.StatusBadRequest {
-		t.Fatalf("range mismatch: %d %s", status, body)
-	}
+	reject("range mismatch", mustEncodePanelReq(t, 0, 20, [][]float64{x}))
 	// A frame with one corrupted element byte: checksum rejection.
-	frame := mustEncodeShardReq(t, 10, 30, x)
-	frame[shardReqHeaderLen+3] ^= 0x10
-	if status, body := post(frame); status != http.StatusBadRequest {
-		t.Fatalf("corrupted frame: %d %s", status, body)
-	}
+	frame := mustEncodePanelReq(t, 10, 30, [][]float64{x})
+	frame[panelReqHeaderLen+3] ^= 0x10
+	reject("corrupted frame", frame)
+	// Vectors shorter than the shard's column count.
+	reject("short vectors", mustEncodePanelReq(t, 10, 30, [][]float64{x[:19]}))
 	// And a valid frame still succeeds after the rejections.
-	if status, body := post(mustEncodeShardReq(t, 10, 30, x)); status != http.StatusOK {
+	if status, body := post(mustEncodePanelReq(t, 10, 30, [][]float64{x})); status != http.StatusOK {
 		t.Fatalf("valid frame: %d %s", status, body)
 	}
 
@@ -137,10 +94,11 @@ func TestShardEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestShardPanelEndpoint walks the multi-RHS worker face: register a
-// row block, scatter a k-wide SpS2 panel at the mulvecs endpoint, and
-// confirm every vector of the SpP2 partial equals the matching slice of
-// the per-vector single-node reference bit for bit.
+// TestShardPanelEndpoint walks the worker face of the sharded data
+// plane: register a row block over HTTP, scatter SpS2 panels of one and
+// of three vectors at the mulvecs endpoint, and confirm every vector of
+// each SpP2 partial equals the matching slice of the per-vector
+// single-node reference bit for bit.
 func TestShardPanelEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	_, base, client, stop := startServer(t, Config{Workers: 2, EnableShard: true})
@@ -151,44 +109,50 @@ func TestShardPanelEndpoint(t *testing.T) {
 	const row0, row1 = 20, 50
 	sub := sliceRows(m, row0, row1)
 
-	if status, body := doJSON(t, client, http.MethodPut,
-		base+"/v1/shard/demo?row0=20&row1=50", mmBody(t, sub), nil); status != http.StatusCreated {
+	var info Info
+	status, body := doJSON(t, client, http.MethodPut,
+		base+"/v1/shard/demo?row0=20&row1=50", mmBody(t, sub), &info)
+	if status != http.StatusCreated {
 		t.Fatalf("shard register: %d %s", status, body)
 	}
+	if !info.Sharded || info.ShardRow0 != row0 || info.ShardRow1 != row1 || info.Rows != row1-row0 || info.Cols != 40 {
+		t.Fatalf("shard info = %+v", info)
+	}
 
-	const k = 3
-	xs := make([][]float64, k)
-	for l := range xs {
-		xs[l] = make([]float64, 40)
-		for j := range xs[l] {
-			xs[l][j] = math.Sin(float64(l*41 + j + 1))
+	for _, k := range []int{1, 3} {
+		xs := make([][]float64, k)
+		for l := range xs {
+			xs[l] = make([]float64, 40)
+			for j := range xs[l] {
+				xs[l][j] = math.Sin(float64(l*41 + j + 1))
+			}
 		}
-	}
-	frame := mustEncodePanelReq(t, row0, row1, xs)
-	resp, err := client.Post(base+"/v1/shard/demo/mulvecs", ContentTypePanelRequest, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard mulvecs: %d %s", resp.StatusCode, data)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypePanelPartial {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	r0, r1, gk, flat, err := DecodePartialPanelInto(nil, data, row1-row0, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0 != row0 || r1 != row1 || gk != k {
-		t.Fatalf("panel partial [%d, %d) k=%d", r0, r1, gk)
-	}
-	ys := PanelVecs(nil, flat, row1-row0, k)
-	for l := range xs {
-		want := refMul(sub, xs[l])
-		for i := range want {
-			if math.Float64bits(ys[l][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("y[%d][%d] = %g, want %g (bit-level)", l, i, ys[l][i], want[i])
+		frame := mustEncodePanelReq(t, row0, row1, xs)
+		resp, err := client.Post(base+"/v1/shard/demo/mulvecs", ContentTypePanelRequest, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("k=%d: shard mulvecs: %d %s", k, resp.StatusCode, data)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != ContentTypePanelPartial {
+			t.Fatalf("k=%d: Content-Type = %q", k, ct)
+		}
+		r0, r1, gk, flat, err := DecodePartialPanelInto(nil, data, row1-row0, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r0 != row0 || r1 != row1 || gk != k {
+			t.Fatalf("k=%d: panel partial [%d, %d) k=%d", k, r0, r1, gk)
+		}
+		ys := PanelVecs(nil, flat, row1-row0, k)
+		for l := range xs {
+			want := refMul(sub, xs[l])
+			for i := range want {
+				if math.Float64bits(ys[l][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d: y[%d][%d] = %g, want %g (bit-level)", k, l, i, ys[l][i], want[i])
+				}
 			}
 		}
 	}
@@ -241,32 +205,20 @@ func TestShardPanelEndpointErrors(t *testing.T) {
 	if status, body := post(forged); status != http.StatusBadRequest {
 		t.Fatalf("forged k=0 panel: %d %s", status, body)
 	}
-	// A valid panel still succeeds after the rejections, and a k=1 panel
-	// matches the single-vector endpoint bit for bit.
+	// A valid panel still succeeds after the rejections, bit for bit the
+	// reference product.
 	status, body := post(mustEncodePanelReq(t, 10, 30, [][]float64{x}))
 	if status != http.StatusOK {
 		t.Fatalf("valid panel: %d %s", status, body)
 	}
-	_, _, _, flat, err := DecodePartialPanelInto(nil, body, 20, 1)
+	_, _, _, y, err := DecodePartialPanelInto(nil, body, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post(base+"/v1/shard/ok/mulvec", ContentTypeShardRequest,
-		bytes.NewReader(mustEncodeShardReq(t, 10, 30, x)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("single mulvec: %d %s", resp.StatusCode, single)
-	}
-	_, _, y, err := DecodePartialInto(nil, single, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range y {
-		if math.Float64bits(flat[i]) != math.Float64bits(y[i]) {
-			t.Fatalf("k=1 panel y[%d] = %g, single %g (bit-level)", i, flat[i], y[i])
+	want := refMul(sub, x)
+	for i := range want {
+		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("k=1 panel y[%d] = %g, want %g (bit-level)", i, y[i], want[i])
 		}
 	}
 }

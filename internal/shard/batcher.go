@@ -22,7 +22,7 @@ type caller struct {
 // batcher, over the same gather loop (internal/batch): concurrent
 // MulVec callers are coalesced into ONE panel of up to BatchMax
 // right-hand sides — one SpS2 frame per shard per panel instead of one
-// SpS1 frame per shard per call, so each shard streams its row block
+// frame per shard per call, so each shard streams its row block
 // once for the whole panel. The difference from the server batcher is
 // what the panel saves: there it amortizes the local matrix stream,
 // here it also amortizes the fan-out — frames, connections, retries,

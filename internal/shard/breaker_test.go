@@ -164,19 +164,20 @@ func TestTerminal4xxDoesNotTripBreaker(t *testing.T) {
 }
 
 // TestOversizedReplyRejected: a worker replying 200 with a body past
-// the exact partial-frame length must yield a typed error, not an
-// unbounded buffer; the coordinator stops reading at the cap.
+// the exact partial-frame length of a k=1 panel must yield a typed
+// error, not an unbounded buffer; the coordinator stops reading at the
+// cap.
 func TestOversizedReplyRejected(t *testing.T) {
 	leakcheck.Check(t)
 	var served atomic.Int64
 	rows := 20
-	limit := server.PartialFrameLen(rows)
+	limit := server.PartialPanelLen(rows, 1)
 	if limit < 4096 {
 		limit = 4096 // the coordinator's floor for error JSON bodies
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		served.Add(1)
-		w.Header().Set("Content-Type", server.ContentTypePartial)
+		w.Header().Set("Content-Type", server.ContentTypePanelPartial)
 		w.Write(make([]byte, limit+64))
 	}))
 	defer ts.Close()

@@ -89,7 +89,7 @@ func TestChaosRetriesHealFaults(t *testing.T) {
 		RetryBase:      time.Millisecond,
 	})
 
-	// The response is ~1.8 KB (20-byte header + 200 rows); offset 600 is
+	// The response is ~1.8 KB (24-byte header + 200 rows); offset 600 is
 	// deep inside the partial's element bytes, past any HTTP header.
 	faults := map[string]faultcheck.Plan{
 		"drop":     {Drop: true},

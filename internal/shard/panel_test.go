@@ -374,8 +374,9 @@ func TestPanelHedgeCountsOncePerPair(t *testing.T) {
 }
 
 // TestFrameEncodeZeroAlloc pins the pooled scatter-encode path: once a
-// pooled buffer has served a frame of each shape, re-encoding SpS1 and
-// SpS2 frames through getFrame/encodeFrame/release allocates nothing.
+// pooled buffer has served a frame of each width, re-encoding k=1 and
+// k=4 SpS2 frames through getFrame/encodeFrame/release allocates
+// nothing.
 func TestFrameEncodeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops items by design")
@@ -397,13 +398,13 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 		encodeFrame(fb, 0, 64, [][]float64{x})
 		fb.release()
 	}); n != 0 {
-		t.Fatalf("SpS1 encode cycle allocates %.1f per run", n)
+		t.Fatalf("k=1 encode cycle allocates %.1f per run", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		fb := getFrame()
 		encodeFrame(fb, 0, 64, xs)
 		fb.release()
 	}); n != 0 {
-		t.Fatalf("SpS2 encode cycle allocates %.1f per run", n)
+		t.Fatalf("k=4 encode cycle allocates %.1f per run", n)
 	}
 }

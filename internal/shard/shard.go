@@ -67,8 +67,8 @@ type Options struct {
 	// that are queued together are coalesced into panels of up to this
 	// many right-hand sides before scattering, so each shard receives one
 	// SpS2 frame per panel — and streams its row block once per panel —
-	// instead of one SpS1 frame per call. <= 1 disables batching (the
-	// default): every call scatters immediately.
+	// instead of one frame per call. <= 1 disables batching (the
+	// default): every call scatters immediately as a panel of one.
 	BatchMax int
 	// BatchWindow is how long the batcher holds a panel open for more
 	// callers, which it does only right after scattering a panel that
@@ -421,17 +421,11 @@ func (r *frameReader) Close() error {
 	return nil
 }
 
-// encodeFrame encodes the scatter frame for one shard into the pooled
-// buffer: SpS1 for a single vector (byte-compatible with a panel-unaware
-// fleet), SpS2 for a panel. With a warm buffer the encode allocates
-// nothing.
+// encodeFrame encodes the SpS2 scatter frame for one shard into the
+// pooled buffer. With a warm buffer the encode allocates nothing.
 func encodeFrame(fb *frameBuf, row0, row1 int, xs [][]float64) error {
 	var err error
-	if len(xs) == 1 {
-		fb.buf, err = server.AppendShardRequest(fb.buf[:0], row0, row1, xs[0])
-	} else {
-		fb.buf, err = server.AppendShardPanel(fb.buf[:0], row0, row1, xs)
-	}
+	fb.buf, err = server.AppendShardPanel(fb.buf[:0], row0, row1, xs)
 	return err
 }
 
@@ -588,17 +582,12 @@ func (c *Coordinator) attempt(ctx context.Context, i int, sh *shardState, fb *fr
 }
 
 // do performs one HTTP request against one replica: propagate the
-// remaining budget, post the frame, decode and validate the partial.
-// k = 1 speaks SpS1/SpP1 at the mulvec endpoint; k > 1 speaks SpS2/SpP2
-// at mulvecs. The returned flat slice holds the k partial vectors
-// concatenated.
+// remaining budget, post the SpS2 frame to the mulvecs endpoint, decode
+// and validate the SpP2 partial. The returned flat slice holds the k
+// partial vectors concatenated.
 func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *frameBuf, k int) ([]float64, error) {
-	path, ct := "/mulvec", server.ContentTypeShardRequest
-	if k > 1 {
-		path, ct = "/mulvecs", server.ContentTypePanelRequest
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+rep.Addr+"/v1/shard/"+rep.Matrix+path, nil)
+		"http://"+rep.Addr+"/v1/shard/"+rep.Matrix+"/mulvecs", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -608,7 +597,7 @@ func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *f
 	req.Body = fb.reader()
 	req.ContentLength = int64(len(fb.buf))
 	req.GetBody = func() (io.ReadCloser, error) { return fb.reader(), nil }
-	req.Header.Set("Content-Type", ct)
+	req.Header.Set("Content-Type", server.ContentTypePanelRequest)
 	if dl, ok := ctx.Deadline(); ok {
 		budget := time.Until(dl)
 		if budget <= 0 {
@@ -627,10 +616,7 @@ func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *f
 	// coordinator buffer an arbitrarily large reply before decode rejects
 	// it.
 	rows := sh.row1 - sh.row0
-	limit := int64(server.PartialFrameLen(rows))
-	if k > 1 {
-		limit = int64(server.PartialPanelLen(rows, k))
-	}
+	limit := int64(server.PartialPanelLen(rows, k))
 	if limit < 4096 {
 		limit = 4096
 	}
@@ -645,17 +631,6 @@ func (c *Coordinator) do(ctx context.Context, rep Replica, sh *shardState, fb *f
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, remoteErr(resp.StatusCode, data)
-	}
-	if k == 1 {
-		r0, r1, y, err := server.DecodePartialInto(nil, data, rows)
-		if err != nil {
-			return nil, err
-		}
-		if r0 != sh.row0 || r1 != sh.row1 {
-			return nil, fmt.Errorf("%w: partial [%d, %d) for shard [%d, %d)",
-				server.ErrWireRange, r0, r1, sh.row0, sh.row1)
-		}
-		return y, nil
 	}
 	r0, r1, gk, flat, err := server.DecodePartialPanelInto(nil, data, rows, k)
 	if err != nil {
