@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"blockspmv/internal/bcsd"
 	"blockspmv/internal/bcsr"
@@ -196,10 +197,10 @@ func Collect[T floats.Float](m machine.Machine, opts Options) *Table {
 		Machine:   m,
 		Entries:   make(map[Key]Entry),
 	}
+	var keys []Key
 	for _, s := range blocks.AllShapes() {
 		for _, impl := range blocks.Impls() {
-			k := Key{Shape: s, Impl: impl}
-			t.Entries[k] = profileOne[T](small, big, k, m, opts)
+			keys = append(keys, Key{Shape: s, Impl: impl})
 		}
 	}
 	// The variant kernels share the degenerate 1x1 shape with CSR but
@@ -208,9 +209,12 @@ func Collect[T floats.Float](m machine.Machine, opts Options) *Table {
 	// variable-size block walks.
 	for _, v := range variantKernels() {
 		for _, impl := range blocks.Impls() {
-			k := Key{Shape: blocks.RectShape(1, 1), Impl: impl, Variant: v}
-			t.Entries[k] = profileOne[T](small, big, k, m, opts)
+			keys = append(keys, Key{Shape: blocks.RectShape(1, 1), Impl: impl, Variant: v})
 		}
+	}
+	tbs := measureTb(small, keys)
+	for i, k := range keys {
+		t.Entries[k] = Entry{Tb: tbs[i], Nof: measureNof(big, k, m, opts, tbs[i])}
 	}
 	return t
 }
@@ -220,18 +224,55 @@ func variantKernels() []blocks.Variant {
 	return []blocks.Variant{blocks.DU, blocks.VBR, blocks.VBL, blocks.SELL}
 }
 
-// profileOne measures Tb on the L1-resident matrix and Nof on the
-// cache-exceeding matrix for a single kernel.
-func profileOne[T floats.Float](small, big *mat.COO[T], k Key, m machine.Machine, opts Options) Entry {
-	// t_b: batch enough repetitions that timer resolution is irrelevant.
-	si := buildDense(small, k)
-	x := floats.RandVector[T](si.Cols(), 11)
-	y := make([]T, si.Rows())
-	nbSmall := blockCount(si)
-	perMul := machine.TimeAvg(5, 400, func() { si.Mul(x, y) })
-	tb := perMul / float64(nbSmall)
+// tbRounds and tbReps shape the t_b measurement: tbRounds rounds, each
+// timing a batch of tbReps multiplies of every kernel in turn.
+const tbRounds, tbReps = 20, 20
 
-	// nof: one construction, a handful of timed full passes.
+// measureTb returns t_b, the seconds per block on the L1-resident matrix,
+// for each of keys. The host's speed can drift by 2x within milliseconds
+// (other tenants, frequency changes), so kernels timed one after another
+// would be compared at different speeds. Instead every round times every
+// kernel once, and a kernel's t_b is its median ratio to the first kernel
+// of the same round, scaled by the first kernel's median: a drift moves
+// both sides of a same-round ratio alike, so the ratios between kernels,
+// which selection compares, hold.
+func measureTb[T floats.Float](small *mat.COO[T], keys []Key) []float64 {
+	insts := make([]formats.Instance[T], len(keys))
+	xs, ys := make([][]T, len(keys)), make([][]T, len(keys))
+	for i, k := range keys {
+		insts[i] = buildDense(small, k)
+		xs[i] = floats.RandVector[T](insts[i].Cols(), 11)
+		ys[i] = make([]T, insts[i].Rows())
+	}
+	secs := make([][]float64, len(keys)) // secs[i][r]: kernel i in round r
+	for range tbRounds {
+		for i, inst := range insts {
+			perMul := machine.TimeAvg(1, tbReps, func() { inst.Mul(xs[i], ys[i]) })
+			secs[i] = append(secs[i], perMul/float64(blockCount(inst)))
+		}
+	}
+	ref := median(secs[0])
+	tbs := make([]float64, len(keys))
+	ratios := make([]float64, tbRounds)
+	for i := range keys {
+		for r := range ratios {
+			ratios[r] = secs[i][r] / secs[0][r]
+		}
+		tbs[i] = ref * median(ratios)
+	}
+	return tbs
+}
+
+// median returns the middle element of v, sorting v in place.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	return v[len(v)/2]
+}
+
+// measureNof returns nof_b of the kernel for key on the cache-exceeding
+// matrix, given its t_b: one construction, a handful of timed full
+// passes.
+func measureNof[T floats.Float](big *mat.COO[T], k Key, m machine.Machine, opts Options, tb float64) float64 {
 	bi := buildDense(big, k)
 	bx := floats.RandVector[T](bi.Cols(), 12)
 	by := make([]T, bi.Rows())
@@ -247,7 +288,7 @@ func profileOne[T floats.Float](small, big *mat.COO[T], k Key, m machine.Machine
 	if nof > opts.MaxNof {
 		nof = opts.MaxNof
 	}
-	return Entry{Tb: tb, Nof: nof}
+	return nof
 }
 
 // Version is the profile file format version Save writes. Load accepts

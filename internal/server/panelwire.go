@@ -264,9 +264,11 @@ func AppendPartialPanel(dst []byte, row0, row1 int, ys [][]float64) ([]byte, err
 	return dst, nil
 }
 
-// EncodePartialPanel returns the binary panel-partial frame.
+// EncodePartialPanel returns the binary panel-partial frame. An
+// inverted range sizes the buffer at zero rows, so the range guard, not
+// make, rejects it.
 func EncodePartialPanel(row0, row1 int, ys [][]float64) ([]byte, error) {
-	return AppendPartialPanel(make([]byte, 0, PartialPanelLen(row1-row0, len(ys))), row0, row1, ys)
+	return AppendPartialPanel(make([]byte, 0, PartialPanelLen(max(row1-row0, 0), len(ys))), row0, row1, ys)
 }
 
 // PartialPanelLen returns the exact encoded length of a panel-partial

@@ -94,12 +94,11 @@ func TestShardEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestShardPanelEndpoint walks the worker face of the sharded data
-// plane: register a row block over HTTP, scatter SpS2 panels of one and
-// of three vectors at the mulvecs endpoint, and confirm every vector of
-// each SpP2 partial equals the matching slice of the per-vector
-// single-node reference bit for bit.
-func TestShardPanelEndpoint(t *testing.T) {
+// TestShardEndpoints walks the worker face of the sharded data plane:
+// register a row block over HTTP, multiply one vector (a panel of one)
+// through the SpS2/SpP2 frames, and confirm the partial equals the
+// matching slice of the single-node reference bit for bit.
+func TestShardEndpoints(t *testing.T) {
 	leakcheck.Check(t)
 	_, base, client, stop := startServer(t, Config{Workers: 2, EnableShard: true})
 	defer stop()
@@ -118,41 +117,65 @@ func TestShardPanelEndpoint(t *testing.T) {
 	if !info.Sharded || info.ShardRow0 != row0 || info.ShardRow1 != row1 || info.Rows != row1-row0 || info.Cols != 40 {
 		t.Fatalf("shard info = %+v", info)
 	}
+	checkShardPanel(t, client, base+"/v1/shard/demo/mulvecs", sub, row0, row1, 1)
+}
 
-	for _, k := range []int{1, 3} {
-		xs := make([][]float64, k)
-		for l := range xs {
-			xs[l] = make([]float64, 40)
-			for j := range xs[l] {
-				xs[l][j] = math.Sin(float64(l*41 + j + 1))
-			}
+// TestShardPanelEndpoint scatters a k-wide SpS2 panel at the mulvecs
+// endpoint and confirms every vector of the SpP2 partial equals the
+// matching slice of the per-vector single-node reference bit for bit.
+func TestShardPanelEndpoint(t *testing.T) {
+	leakcheck.Check(t)
+	_, base, client, stop := startServer(t, Config{Workers: 2, EnableShard: true})
+	defer stop()
+
+	m := testmat.Random[float64](60, 40, 0.15, 7)
+	m.Finalize()
+	const row0, row1 = 20, 50
+	sub := sliceRows(m, row0, row1)
+
+	if status, body := doJSON(t, client, http.MethodPut,
+		base+"/v1/shard/demo?row0=20&row1=50", mmBody(t, sub), nil); status != http.StatusCreated {
+		t.Fatalf("shard register: %d %s", status, body)
+	}
+	checkShardPanel(t, client, base+"/v1/shard/demo/mulvecs", sub, row0, row1, 3)
+}
+
+// checkShardPanel posts a k-wide panel for rows [row0, row1) to url and
+// checks the reply against refMul on sub, vector by vector, bit for bit.
+func checkShardPanel(t *testing.T, client *http.Client, url string, sub *mat.COO[float64], row0, row1, k int) {
+	t.Helper()
+	xs := make([][]float64, k)
+	for l := range xs {
+		xs[l] = make([]float64, sub.Cols())
+		for j := range xs[l] {
+			xs[l][j] = math.Sin(float64(l*41 + j + 1))
 		}
-		frame := mustEncodePanelReq(t, row0, row1, xs)
-		resp, err := client.Post(base+"/v1/shard/demo/mulvecs", ContentTypePanelRequest, bytes.NewReader(frame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("k=%d: shard mulvecs: %d %s", k, resp.StatusCode, data)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != ContentTypePanelPartial {
-			t.Fatalf("k=%d: Content-Type = %q", k, ct)
-		}
-		r0, r1, gk, flat, err := DecodePartialPanelInto(nil, data, row1-row0, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r0 != row0 || r1 != row1 || gk != k {
-			t.Fatalf("k=%d: panel partial [%d, %d) k=%d", k, r0, r1, gk)
-		}
-		ys := PanelVecs(nil, flat, row1-row0, k)
-		for l := range xs {
-			want := refMul(sub, xs[l])
-			for i := range want {
-				if math.Float64bits(ys[l][i]) != math.Float64bits(want[i]) {
-					t.Fatalf("k=%d: y[%d][%d] = %g, want %g (bit-level)", k, l, i, ys[l][i], want[i])
-				}
+	}
+	frame := mustEncodePanelReq(t, row0, row1, xs)
+	resp, err := client.Post(url, ContentTypePanelRequest, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("k=%d: shard mulvecs: %d %s", k, resp.StatusCode, data)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypePanelPartial {
+		t.Fatalf("k=%d: Content-Type = %q", k, ct)
+	}
+	r0, r1, gk, flat, err := DecodePartialPanelInto(nil, data, row1-row0, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r0 != row0 || r1 != row1 || gk != k {
+		t.Fatalf("k=%d: panel partial [%d, %d) k=%d", k, r0, r1, gk)
+	}
+	ys := PanelVecs(nil, flat, row1-row0, k)
+	for l := range xs {
+		want := refMul(sub, xs[l])
+		for i := range want {
+			if math.Float64bits(ys[l][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("k=%d: y[%d][%d] = %g, want %g (bit-level)", k, l, i, ys[l][i], want[i])
 			}
 		}
 	}
