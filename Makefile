@@ -5,7 +5,8 @@
 # detector; `make fuzz` runs a short smoke pass of every fuzz target in
 # the tree (found with go test -list); `make gencheck` regenerates the block
 # kernels into a temp dir and fails if the committed *_gen.go files have
-# drifted from the generator.
+# drifted from the generator; `make fmt` fails if any Go file in the tree
+# is not gofmt-formatted.
 
 GO ?= go
 
@@ -16,9 +17,15 @@ RACE_PKGS = ./internal/workpool ./internal/parallel ./internal/vecops ./internal
 
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz gencheck bench bench-json
+.PHONY: check fmt vet build test race fuzz gencheck bench bench-json
 
-check: vet build test race fuzz gencheck
+check: fmt vet build test race fuzz gencheck
+
+# fmt lists every Go file gofmt would rewrite, and fails if there is one.
+fmt:
+	@files=$$(gofmt -l .) && if [ -n "$$files" ]; then \
+		echo "fmt: run gofmt -w on:"; echo "$$files"; exit 1; \
+	fi && echo "fmt: all Go files gofmt-clean"
 
 # gencheck guards against generator drift: the committed *_gen.go kernel
 # sources must match what the generator emits today.

@@ -11,8 +11,6 @@
 package csr
 
 import (
-	"fmt"
-
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
@@ -78,25 +76,6 @@ func NewCompact[T floats.Float](m *mat.COO[T], impl blocks.Impl) formats.Instanc
 	default:
 		return FromCOOIx[T, int32](m, impl)
 	}
-}
-
-// FromRaw assembles a baseline CSR matrix directly from prepared arrays.
-// The arrays are taken over. It validates pointer monotonicity and
-// lengths (but not per-row column ordering, which hot-path converters
-// guarantee themselves).
-func FromRaw[T floats.Float](rows, cols int, rowPtr, colInd []int32, val []T, impl blocks.Impl) *Matrix[T] {
-	if len(rowPtr) != rows+1 {
-		panic(fmt.Sprintf("csr: rowPtr has %d entries, want %d", len(rowPtr), rows+1))
-	}
-	if len(colInd) != len(val) || int(rowPtr[rows]) != len(val) {
-		panic("csr: inconsistent array lengths")
-	}
-	for r := 0; r < rows; r++ {
-		if rowPtr[r] > rowPtr[r+1] {
-			panic(fmt.Sprintf("csr: rowPtr not monotone at row %d", r))
-		}
-	}
-	return &Matrix[T]{rows: rows, cols: cols, rowPtr: rowPtr, colInd: colInd, val: val, impl: impl}
 }
 
 // Name implements formats.Instance.
@@ -398,9 +377,6 @@ func (a *Mat[T, I]) Pattern() *mat.Pattern {
 	}
 	return &mat.Pattern{Rows: a.rows, Cols: a.cols, RowPtr: a.rowPtr, ColInd: ci}
 }
-
-// RowNNZ returns the number of stored elements in row r.
-func (a *Mat[T, I]) RowNNZ(r int) int { return int(a.rowPtr[r+1] - a.rowPtr[r]) }
 
 var (
 	_ formats.Instance[float64] = (*Matrix[float64])(nil)

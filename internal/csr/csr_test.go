@@ -85,35 +85,6 @@ func TestZeroColInd(t *testing.T) {
 	}
 }
 
-func TestFromRawPanics(t *testing.T) {
-	cases := []struct {
-		name   string
-		rowPtr []int32
-		colInd []int32
-		val    []float64
-	}{
-		{"short rowptr", []int32{0, 1}, []int32{0}, []float64{1}},
-		{"mismatched lengths", []int32{0, 1, 1}, []int32{0, 1}, []float64{1}},
-		{"nonmonotone", []int32{0, 2, 1}, []int32{0, 1}, []float64{1, 2}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("FromRaw(%s) did not panic", tc.name)
-				}
-			}()
-			var n int
-			if tc.name == "short rowptr" {
-				n = 2
-			} else {
-				n = len(tc.rowPtr) - 1
-			}
-			csr.FromRaw(n, 4, tc.rowPtr, tc.colInd, tc.val, blocks.Scalar)
-		})
-	}
-}
-
 func TestMulDimensionPanic(t *testing.T) {
 	m := testmat.Random[float64](10, 20, 0.2, 5)
 	a := csr.FromCOO(m, blocks.Scalar)

@@ -39,7 +39,6 @@ type Matrix[T floats.Float] struct {
 	rowPtr     []int32 // len rows+1, indexes val
 	stream     []byte  // concatenated delta units of all rows
 	rowByte    []int32 // len rows+1, byte offset of each row's units in stream
-	units      int64
 	impl       blocks.Impl
 	// kern maps a unit's width code (0, 1, 2 for 1-, 2-, 4-byte deltas)
 	// to its decode+multiply kernel; kernMulti holds the panel variants.
@@ -141,7 +140,6 @@ func forEachUnit(cols []int32, fn func(code, lo, hi int)) {
 // encodeRow appends the delta units of one row's sorted column stream.
 func (a *Matrix[T]) encodeRow(cols []int32) {
 	forEachUnit(cols, func(code, lo, hi int) {
-		a.units++
 		a.stream = append(a.stream, byte(code), byte(hi-lo))
 		for i := lo; i < hi; i++ {
 			d := uint32(delta(cols, i))
@@ -191,9 +189,6 @@ func (a *Matrix[T]) NNZ() int64 { return int64(len(a.val)) }
 
 // StoredScalars implements formats.Instance; CSR-DU stores no padding.
 func (a *Matrix[T]) StoredScalars() int64 { return int64(len(a.val)) }
-
-// Units returns the number of delta units in the stream.
-func (a *Matrix[T]) Units() int64 { return a.units }
 
 // MatrixBytes implements formats.Instance.
 func (a *Matrix[T]) MatrixBytes() int64 {

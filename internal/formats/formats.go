@@ -99,7 +99,7 @@ type Instance[T floats.Float] interface {
 	// WithImpl returns an instance over the same storage using the given
 	// kernel implementation class; the receiver is unchanged and the
 	// underlying arrays are shared. Formats without distinct
-	// implementations (VBR, DCSR) return an equivalent instance. The
+	// implementations (VBR, 1D-VBL, DCSR) return an equivalent instance. The
 	// experiment harness uses this to time scalar and simd kernels
 	// without converting the matrix twice.
 	WithImpl(impl blocks.Impl) Instance[T]

@@ -169,25 +169,6 @@ func (m *COO[T]) Transpose() *COO[T] {
 	return t
 }
 
-// ZeroColIndClone returns a copy of the matrix with every column index set
-// to zero while keeping the values and row structure. This reproduces the
-// special benchmark of Section V.B (from Goumas et al. [5]): with col_ind
-// zeroed, every access to the input vector hits x[0], so any speedup over
-// the original matrix measures the cost of irregular input-vector accesses.
-//
-// The result is not a valid matrix for numerical purposes (duplicates are
-// intentionally kept), only for timing.
-func (m *COO[T]) ZeroColIndClone() *COO[T] {
-	m.mustFinal()
-	c := New[T](m.rows, m.cols)
-	c.entries = make([]Entry[T], len(m.entries))
-	for i, e := range m.entries {
-		c.entries[i] = Entry[T]{Row: e.Row, Col: 0, Val: e.Val}
-	}
-	c.finalized = true // keep duplicates: structure must stay identical
-	return c
-}
-
 // ToDense returns the matrix as a dense row-major rows*cols slice. Intended
 // for tests on small matrices only.
 func (m *COO[T]) ToDense() []T {

@@ -135,26 +135,6 @@ func TestDenseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestZeroColIndClonePreservesStructure(t *testing.T) {
-	m := New[float64](5, 5)
-	m.Add(0, 3, 2)
-	m.Add(0, 4, 3)
-	m.Add(4, 1, -1)
-	m.Finalize()
-	z := m.ZeroColIndClone()
-	if z.NNZ() != m.NNZ() {
-		t.Fatalf("clone has %d entries, want %d", z.NNZ(), m.NNZ())
-	}
-	for i, e := range z.Entries() {
-		if e.Col != 0 {
-			t.Errorf("entry %d column = %d, want 0", i, e.Col)
-		}
-		if e.Row != m.Entries()[i].Row || e.Val != m.Entries()[i].Val {
-			t.Errorf("entry %d changed row/val", i)
-		}
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := New[float64](3, 3)
 	m.Add(0, 0, 1)

@@ -49,9 +49,9 @@ type Mat[T floats.Float, I idx.Index] struct {
 	scope      int // effective scope: a multiple of chunk (see RowAlign)
 	impl       blocks.Impl
 
-	val      []T     // padded scalars, column-major per slice
-	colInd   []I     // same layout as val; padding stores column 0
-	sliceOff []int64 // len slices+1, scalar offsets into val/colInd
+	val      []T                 // padded scalars, column-major per slice
+	colInd   []I                 // same layout as val; padding stores column 0
+	sliceOff []int64             // len slices+1, scalar offsets into val/colInd
 	perm     reorder.Permutation // perm[lane position] = original row
 
 	nnz int64

@@ -190,10 +190,10 @@ func TestScopeRounding(t *testing.T) {
 	cases := []struct {
 		chunk, sigma, wantScope, wantAlign int
 	}{
-		{8, 1, 8, 8},       // identity order, slice-sized scope
-		{8, 8, 8, 8},       // one-slice scope
-		{8, 12, 16, 16},    // rounded up to a chunk multiple
-		{8, 0, 104, 100},   // whole matrix, align capped at rows
+		{8, 1, 8, 8},        // identity order, slice-sized scope
+		{8, 8, 8, 8},        // one-slice scope
+		{8, 12, 16, 16},     // rounded up to a chunk multiple
+		{8, 0, 104, 100},    // whole matrix, align capped at rows
 		{8, 1000, 104, 100}, // σ > rows clamps to whole matrix
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -85,6 +86,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	res, err := s.reg.Update(ctx, name, ups)
 	if err != nil {
+		var urange *overlay.RangeError
+		var uop *overlay.OpRangeError
+		if errors.Is(err, errBadRequest) || errors.As(err, &urange) || errors.As(err, &uop) {
+			s.in.reqBad.Inc()
+		}
 		s.writeErr(w, err)
 		return
 	}

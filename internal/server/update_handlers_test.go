@@ -20,7 +20,7 @@ import (
 func TestServerUpdateEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	s, base, client, stop := startServer(t, Config{
-		Workers: 2, BatchMax: 4, Mutable: true, RecompactAfter: -1,
+		Workers: 2, BatchMax: 4, Mutable: true, RecompactAfter: -1, MaxUpdateBatch: 4,
 	})
 	defer stop()
 
@@ -87,57 +87,60 @@ func TestServerUpdateEndpoint(t *testing.T) {
 		}
 	}
 
-	// Typed rejections, each with its JSON kind.
-	checkKind := func(status int, body string, wantStatus int, wantKind string) {
+	// Typed rejections, each with its JSON kind. Every 400 counts once in
+	// spmvd_requests_bad_total; 404 and 409 leave it alone.
+	reject := func(name, contentType string, body []byte, wantStatus int, wantKind string) {
 		t.Helper()
-		if status != wantStatus {
-			t.Fatalf("status %d (%s), want %d", status, body, wantStatus)
+		before := s.in.reqBad.Value()
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/matrix/"+name+"/update", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("status %d (%s), want %d", resp.StatusCode, b, wantStatus)
 		}
 		var ae apiError
-		if err := json.Unmarshal([]byte(body), &ae); err != nil || ae.Kind != wantKind {
-			t.Fatalf("error body %q, want kind %q", body, wantKind)
+		if err := json.Unmarshal(b, &ae); err != nil || ae.Kind != wantKind {
+			t.Fatalf("error body %q, want kind %q", b, wantKind)
+		}
+		var wantBad uint64
+		if wantStatus == http.StatusBadRequest {
+			wantBad = 1
+		}
+		if got := s.in.reqBad.Value() - before; got != wantBad {
+			t.Errorf("%s rejection moved spmvd_requests_bad_total by %d, want %d", wantKind, got, wantBad)
 		}
 	}
+	const ctJSON = "application/json"
 
-	st, b2 := doJSON(t, client, http.MethodPost, base+"/v1/matrix/m/update",
-		[]byte(`{"updates":[{"i":999,"j":0,"v":1}]}`), nil)
-	checkKind(st, b2, http.StatusBadRequest, "update_range")
-
-	st, b2 = doJSON(t, client, http.MethodPost, base+"/v1/matrix/m/update",
-		[]byte(`{"updates":[{"op":"frobnicate","i":0,"j":0}]}`), nil)
-	checkKind(st, b2, http.StatusBadRequest, "bad_request")
-
-	st, b2 = doJSON(t, client, http.MethodPost, base+"/v1/matrix/nope/update",
-		[]byte(`{"updates":[]}`), nil)
-	checkKind(st, b2, http.StatusNotFound, "not_found")
+	reject("m", ctJSON, []byte(`{"updates":[{"i":999,"j":0,"v":1}]}`), http.StatusBadRequest, "update_range")
+	reject("m", ctJSON, []byte(`{"updates":[{"op":"frobnicate","i":0,"j":0}]}`), http.StatusBadRequest, "bad_request")
+	overCap := []byte(`{"updates":[{"i":0,"j":0,"v":1},{"i":1,"j":1,"v":1},{"i":2,"j":2,"v":1},{"i":3,"j":3,"v":1},{"i":4,"j":4,"v":1}]}`)
+	reject("m", ctJSON, overCap, http.StatusBadRequest, "bad_request")
+	reject("nope", ctJSON, []byte(`{"updates":[]}`), http.StatusNotFound, "not_found")
 
 	// A corrupt binary frame is a wire-typed bad request.
 	bad := append([]byte(nil), frame...)
 	bad[len(bad)-1] ^= 1
-	req, _ = http.NewRequest(http.MethodPost, base+"/v1/matrix/m/update", bytes.NewReader(bad))
-	req.Header.Set("Content-Type", ContentTypeUpdate)
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	checkKind(resp.StatusCode, string(b3), http.StatusBadRequest, "bad_request")
+	reject("m", ContentTypeUpdate, bad, http.StatusBadRequest, "bad_request")
 
 	// A prebuilt instance has no overlay even on a mutable server.
 	inst := csr.FromCOO(testmat.Random[float64](5, 5, 0.4, 3), blocks.Scalar)
 	if _, err := s.Registry().RegisterInstance("pre", inst); err != nil {
 		t.Fatal(err)
 	}
-	st, b2 = doJSON(t, client, http.MethodPost, base+"/v1/matrix/pre/update",
-		[]byte(`{"updates":[{"i":0,"j":0,"v":1}]}`), nil)
-	checkKind(st, b2, http.StatusConflict, "immutable")
+	reject("pre", ctJSON, []byte(`{"updates":[{"i":0,"j":0,"v":1}]}`), http.StatusConflict, "immutable")
 
 	// Shard registrations refuse updates with their own kind.
 	if _, err := s.Registry().RegisterShardMatrix("shard", testmat.Random[float64](4, 12, 0.4, 4), 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	st, b2 = doJSON(t, client, http.MethodPost, base+"/v1/matrix/shard/update",
-		[]byte(`{"updates":[{"i":0,"j":0,"v":1}]}`), nil)
-	checkKind(st, b2, http.StatusConflict, "sharded")
+	reject("shard", ctJSON, []byte(`{"updates":[{"i":0,"j":0,"v":1}]}`), http.StatusConflict, "sharded")
 }
