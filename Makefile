@@ -70,6 +70,8 @@ fuzz:
 bench:
 	$(GO) test -bench 'MulVecWorkers|SolveCGWorkers' -benchmem \
 	    ./internal/parallel ./internal/solver
+	$(GO) test -run '^$$' -bench 'EnumerateStatsAll|ConstructBone010' -benchmem \
+	    ./internal/core ./internal/bcsr
 
 # bench-json regenerates the tracked machine-readable benchmark
 # artifacts: BENCH_compress.json (index-compression experiment: bytes/nnz,

@@ -21,7 +21,7 @@ package bcsd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -100,75 +100,53 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 	b := a.b
 	nSegments := (a.rows + b - 1) / b
 	a.browPtr = make([]int32, nSegments+1)
+	interior := func(start int32) bool { return start >= 0 && int(start)+b <= a.cols }
+	// Block start columns run from -(b-1) to cols-1. Start s has slot
+	// s+lead, whose N is the block's index in bcol (or in the edge
+	// arrays) for the segment in Row.
+	lead := int32(b - 1)
+	slot := blocks.Stamps(nil, a.cols+b-1)
 
-	var starts []int32
+	var starts []int32 // distinct block start columns of the current segment
 	for lo := 0; lo < len(entries); {
-		seg := int(entries[lo].Row) / b
+		seg := entries[lo].Row / int32(b)
 		hi := lo
-		for hi < len(entries) && int(entries[hi].Row)/b == seg {
+		for hi < len(entries) && entries[hi].Row/int32(b) == seg {
 			hi++
 		}
-
 		starts = starts[:0]
-		for i := lo; i < hi; i++ {
-			e := entries[i]
-			starts = append(starts, e.Col-(e.Row-int32(seg*b)))
+		for _, e := range entries[lo:hi] {
+			start := e.Col - (e.Row - seg*int32(b))
+			if st := &slot[start+lead]; st.Row != seg {
+				st.Row = seg
+				starts = append(starts, start)
+			}
 		}
-		sortUnique(&starts)
-
-		// Interior blocks form the sorted middle: start >= 0 and
-		// start+b <= cols. Leading negatives and trailing overhangs go to
-		// the edge structure.
-		first := 0
-		for first < len(starts) && starts[first] < 0 {
-			first++
+		// Blocks are stored in ascending start order. Boundary blocks
+		// (leading negative starts and trailing overhangs) go to the edge
+		// arrays, also in ascending order.
+		slices.Sort(starts)
+		for _, start := range starts {
+			if st := &slot[start+lead]; interior(start) {
+				st.N = int32(len(a.bcol))
+				a.bcol = append(a.bcol, I(start))
+			} else {
+				st.N = int32(len(a.edgeCol))
+				a.edgeSeg = append(a.edgeSeg, seg)
+				a.edgeCol = append(a.edgeCol, start)
+			}
 		}
-		last := len(starts)
-		for last > first && int(starts[last-1])+b > a.cols {
-			last--
-		}
-		interior := starts[first:last]
-
-		base := len(a.bcol)
-		for _, v := range interior {
-			a.bcol = append(a.bcol, I(v))
-		}
-		a.bval = append(a.bval, make([]T, len(interior)*b)...)
-		edgeBase := len(a.edgeCol)
-		for _, s := range starts[:first] {
-			a.edgeSeg = append(a.edgeSeg, int32(seg))
-			a.edgeCol = append(a.edgeCol, s)
-			a.edgeVal = append(a.edgeVal, make([]T, b)...)
-		}
-		for _, s := range starts[last:] {
-			a.edgeSeg = append(a.edgeSeg, int32(seg))
-			a.edgeCol = append(a.edgeCol, s)
-			a.edgeVal = append(a.edgeVal, make([]T, b)...)
-		}
+		a.bval = append(a.bval, make([]T, len(a.bcol)*b-len(a.bval))...)
+		a.edgeVal = append(a.edgeVal, make([]T, len(a.edgeCol)*b-len(a.edgeVal))...)
 		a.browPtr[seg+1] = int32(len(a.bcol))
 
-		for i := lo; i < hi; i++ {
-			e := entries[i]
-			k := int(e.Row) - seg*b
-			start := e.Col - int32(k)
-			if start >= 0 && int(start)+b <= a.cols {
-				bi, ok := search(interior, start)
-				if !ok {
-					panic("bcsd: interior block lookup failed")
-				}
-				a.bval[(base+bi)*b+k] = e.Val
+		for _, e := range entries[lo:hi] {
+			k := e.Row - seg*int32(b)
+			start := e.Col - k
+			if bi := int(slot[start+lead].N); interior(start) {
+				a.bval[bi*b+int(k)] = e.Val
 			} else {
-				found := false
-				for ei := edgeBase; ei < len(a.edgeCol); ei++ {
-					if a.edgeCol[ei] == start {
-						a.edgeVal[ei*b+k] = e.Val
-						found = true
-						break
-					}
-				}
-				if !found {
-					panic("bcsd: edge block lookup failed")
-				}
+				a.edgeVal[bi*b+int(k)] = e.Val
 			}
 		}
 		lo = hi
@@ -380,37 +358,6 @@ var (
 	_ formats.Instance[float64] = (*Mat[float64, uint16])(nil)
 	_ formats.Instance[float64] = (*Mat[float64, uint8])(nil)
 )
-
-func sortUnique(a *[]int32) {
-	s := *a
-	if len(s) < 2 {
-		return
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	*a = out
-}
-
-func search(s []int32, v int32) (int, bool) {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return lo, true
-	}
-	return 0, false
-}
 
 // WithImpl implements formats.Instance: a view over the same arrays with
 // a different kernel implementation class.

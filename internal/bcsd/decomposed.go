@@ -73,25 +73,27 @@ func SplitFullBlocks[T floats.Float](m *mat.COO[T], b int) (full, rem *mat.COO[T
 	fullM := mat.New[T](rows, cols)
 	remM := mat.New[T](rows, cols)
 
-	counts := make(map[int32]int)
+	// Process one segment at a time: count entries per diagonal block
+	// (start s has slot s+b-1), then route each entry by whether its
+	// block is full. Only a block wholly inside the matrix can hold all b
+	// entries.
+	lead := int32(b - 1)
+	count := blocks.Stamps(nil, cols+b-1)
 	for lo := 0; lo < len(entries); {
-		seg := int(entries[lo].Row) / b
+		seg := entries[lo].Row / int32(b)
 		hi := lo
-		for hi < len(entries) && int(entries[hi].Row)/b == seg {
+		for hi < len(entries) && entries[hi].Row/int32(b) == seg {
 			hi++
 		}
-		interiorRows := (seg+1)*b <= rows
-		clear(counts)
-		for i := lo; i < hi; i++ {
-			e := entries[i]
-			counts[e.Col-(e.Row-int32(seg*b))]++
+		for _, e := range entries[lo:hi] {
+			st := &count[e.Col-(e.Row-seg*int32(b))+lead]
+			if st.Row != seg {
+				*st = blocks.Stamp{Row: seg}
+			}
+			st.N++
 		}
-		for i := lo; i < hi; i++ {
-			e := entries[i]
-			start := e.Col - (e.Row - int32(seg*b))
-			isFull := interiorRows && counts[start] == b &&
-				start >= 0 && int(start)+b <= cols
-			if isFull {
+		for _, e := range entries[lo:hi] {
+			if count[e.Col-(e.Row-seg*int32(b))+lead].N == int32(b) {
 				fullM.Add(e.Row, e.Col, e.Val)
 			} else {
 				remM.Add(e.Row, e.Col, e.Val)

@@ -23,7 +23,7 @@ package bcsr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -106,69 +106,55 @@ func (a *Mat[T, I]) build(entries []mat.Entry[T]) {
 	elems := r * c
 	nBlockRows := (a.rows + r - 1) / r
 	a.browPtr = make([]int32, nBlockRows+1)
+	// Block columns below nInterior lie wholly inside the matrix; the one
+	// past them (if any) overhangs the right edge.
+	nInterior := int32(a.cols / c)
+	// slot[j].N is block column j's index in bcol (or in the edge arrays)
+	// for the block row in slot[j].Row.
+	slot := blocks.Stamps(nil, (a.cols+c-1)/c)
 
-	// Entries are row-major sorted; process one block row at a time.
-	type span struct{ lo, hi int }
-	brSpan := func(start int) (int, span) {
-		br := int(entries[start].Row) / r
-		hi := start
-		for hi < len(entries) && int(entries[hi].Row)/r == br {
+	var bcs []int32 // distinct block columns of the current block row
+	for lo := 0; lo < len(entries); {
+		// Entries are row-major sorted; process one block row at a time.
+		br := entries[lo].Row / int32(r)
+		hi := lo
+		for hi < len(entries) && entries[hi].Row/int32(r) == br {
 			hi++
 		}
-		return br, span{start, hi}
-	}
-
-	var cols []int32 // distinct block start columns of the current block row
-	for start := 0; start < len(entries); {
-		br, sp := brSpan(start)
-		start = sp.hi
-
-		cols = cols[:0]
-		for i := sp.lo; i < sp.hi; i++ {
-			cols = append(cols, entries[i].Col/int32(c)*int32(c))
-		}
-		sortUniqueInt32(&cols)
-
-		// Split into interior and edge blocks; cols is sorted, so any edge
-		// block (there can be at most one: the last aligned position) is
-		// at the tail.
-		nInterior := len(cols)
-		for nInterior > 0 && int(cols[nInterior-1])+c > a.cols {
-			nInterior--
-		}
-		interior := cols[:nInterior]
-
-		base := len(a.bcol)
-		for _, v := range interior {
-			a.bcol = append(a.bcol, I(v))
-		}
-		a.bval = append(a.bval, make([]T, len(interior)*elems)...)
-		for _, ec := range cols[nInterior:] {
-			a.edgeBRow = append(a.edgeBRow, int32(br))
-			a.edgeCol = append(a.edgeCol, ec)
-			a.edgeVal = append(a.edgeVal, make([]T, elems)...)
-		}
-		a.browPtr[br+1] = int32(len(a.bcol))
-
-		// Fill values.
-		for i := sp.lo; i < sp.hi; i++ {
-			e := entries[i]
-			startCol := e.Col / int32(c) * int32(c)
-			pos := (int(e.Row)%r)*c + int(e.Col-startCol)
-			if int(startCol)+c <= a.cols {
-				bi, ok := searchInt32(interior, startCol)
-				if !ok {
-					panic("bcsr: interior block lookup failed")
-				}
-				a.bval[(base+bi)*elems+pos] = e.Val
-			} else {
-				ei, ok := searchInt32From(a.edgeCol, a.edgeBRow, int32(br), startCol)
-				if !ok {
-					panic("bcsr: edge block lookup failed")
-				}
-				a.edgeVal[ei*elems+pos] = e.Val
+		bcs = bcs[:0]
+		for _, e := range entries[lo:hi] {
+			if j := e.Col / int32(c); slot[j].Row != br {
+				slot[j].Row = br
+				bcs = append(bcs, j)
 			}
 		}
+		// Blocks are stored in ascending column order; the edge block,
+		// the largest column, lands in the edge arrays.
+		slices.Sort(bcs)
+		for _, j := range bcs {
+			if j < nInterior {
+				slot[j].N = int32(len(a.bcol))
+				a.bcol = append(a.bcol, I(j*int32(c)))
+			} else {
+				slot[j].N = int32(len(a.edgeCol))
+				a.edgeBRow = append(a.edgeBRow, br)
+				a.edgeCol = append(a.edgeCol, j*int32(c))
+			}
+		}
+		a.bval = append(a.bval, make([]T, len(a.bcol)*elems-len(a.bval))...)
+		a.edgeVal = append(a.edgeVal, make([]T, len(a.edgeCol)*elems-len(a.edgeVal))...)
+		a.browPtr[br+1] = int32(len(a.bcol))
+
+		for _, e := range entries[lo:hi] {
+			j := e.Col / int32(c)
+			pos := int(e.Row%int32(r))*c + int(e.Col-j*int32(c))
+			if b := int(slot[j].N); j < nInterior {
+				a.bval[b*elems+pos] = e.Val
+			} else {
+				a.edgeVal[b*elems+pos] = e.Val
+			}
+		}
+		lo = hi
 	}
 	// browPtr entries for empty block rows: carry forward.
 	for br := 0; br < nBlockRows; br++ {
@@ -393,51 +379,6 @@ var (
 	_ formats.Instance[float32] = (*Mat[float32, uint16])(nil)
 	_ formats.Instance[float32] = (*Mat[float32, uint8])(nil)
 )
-
-// sortUniqueInt32 sorts *a and removes duplicates in place.
-func sortUniqueInt32(a *[]int32) {
-	s := *a
-	if len(s) < 2 {
-		return
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	*a = out
-}
-
-// searchInt32 binary-searches v in sorted s.
-func searchInt32(s []int32, v int32) (int, bool) {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return lo, true
-	}
-	return 0, false
-}
-
-// searchInt32From finds the edge block with block row br and start column
-// col by scanning backwards (edge blocks of the current block row are
-// always at the tail during construction).
-func searchInt32From(cols, brows []int32, br, col int32) (int, bool) {
-	for i := len(cols) - 1; i >= 0 && brows[i] == br; i-- {
-		if cols[i] == col {
-			return i, true
-		}
-	}
-	return 0, false
-}
 
 // WithImpl implements formats.Instance: a view over the same arrays with
 // a different kernel implementation class.

@@ -7,6 +7,7 @@ import (
 	"blockspmv/internal/bcsr"
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
+	"blockspmv/internal/suite"
 	"blockspmv/internal/testmat"
 )
 
@@ -62,5 +63,18 @@ func BenchmarkConstruct(b *testing.B) {
 	b.ReportMetric(float64(m.NNZ()), "nnz")
 	for i := 0; i < b.N; i++ {
 		bcsr.New(m, 2, 4, blocks.Scalar)
+	}
+}
+
+// BenchmarkConstructBone010 times the BCSR(7x1) build with uint16 block
+// columns on suite matrix 16 (bone010) at tiny scale: the format and
+// matrix the end-to-end benchmark's serve-burst workload registers.
+func BenchmarkConstructBone010(b *testing.B) {
+	m, err := suite.Build[float64](16, suite.Tiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		bcsr.NewIx[float64, uint16](m, 7, 1, blocks.Scalar)
 	}
 }

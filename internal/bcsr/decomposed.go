@@ -73,30 +73,30 @@ func SplitFullBlocks[T floats.Float](m *mat.COO[T], r, c int) (full, rem *mat.CO
 	remM := mat.New[T](rows, cols)
 
 	// Process one block row at a time: count entries per aligned block,
-	// then route each entry by whether its block is full.
-	counts := make(map[int32]int)
-	for start := 0; start < len(entries); {
-		br := int(entries[start].Row) / r
-		end := start
-		for end < len(entries) && int(entries[end].Row)/r == br {
-			end++
+	// then route each entry by whether its block is full. Only a block
+	// wholly inside the matrix can hold all r*c entries.
+	count := blocks.Stamps(nil, (cols+c-1)/c)
+	for lo := 0; lo < len(entries); {
+		br := entries[lo].Row / int32(r)
+		hi := lo
+		for hi < len(entries) && entries[hi].Row/int32(r) == br {
+			hi++
 		}
-		interiorRows := (br+1)*r <= rows
-		clear(counts)
-		for i := start; i < end; i++ {
-			counts[entries[i].Col/int32(c)]++
+		for _, e := range entries[lo:hi] {
+			st := &count[e.Col/int32(c)]
+			if st.Row != br {
+				*st = blocks.Stamp{Row: br}
+			}
+			st.N++
 		}
-		for i := start; i < end; i++ {
-			e := entries[i]
-			bc := e.Col / int32(c)
-			isFull := interiorRows && counts[bc] == elems && int(bc+1)*c <= cols
-			if isFull {
+		for _, e := range entries[lo:hi] {
+			if count[e.Col/int32(c)].N == int32(elems) {
 				fullM.Add(e.Row, e.Col, e.Val)
 			} else {
 				remM.Add(e.Row, e.Col, e.Val)
 			}
 		}
-		start = end
+		lo = hi
 	}
 	fullM.Finalize()
 	remM.Finalize()

@@ -2,10 +2,12 @@ package blocks
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"blockspmv/internal/mat"
+	"blockspmv/internal/testmat"
 )
 
 func TestShapeEnumeration(t *testing.T) {
@@ -191,4 +193,146 @@ func TestCountInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sortCountRect is the sort-based counter the stamp pass replaced, kept as
+// the oracle: it collects each block row's block columns, sorts them and
+// measures the runs of equal keys.
+func sortCountRect(p *mat.Pattern, r, c int) Count {
+	cnt := Count{Shape: RectShape(r, c)}
+	elems := int64(r * c)
+	var buf []int32
+	for br := 0; br*r < p.Rows; br++ {
+		rowEnd := min((br+1)*r, p.Rows)
+		fullRows := rowEnd-br*r == r // bottom-edge block rows can't be full
+		buf = buf[:0]
+		for row := br * r; row < rowEnd; row++ {
+			for _, col := range p.RowCols(row) {
+				buf = append(buf, col/int32(c))
+			}
+		}
+		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+		for i := 0; i < len(buf); {
+			j := i + 1
+			for j < len(buf) && buf[j] == buf[i] {
+				j++
+			}
+			cnt.Blocks++
+			// A full block needs all r*c positions inside the matrix.
+			if fullRows && int64(j-i) == elems && int(buf[i]+1)*c <= p.Cols {
+				cnt.FullBlocks++
+			}
+			i = j
+		}
+	}
+	cnt.Padding = cnt.Blocks*elems - int64(p.NNZ())
+	cnt.RemainderNNZ = int64(p.NNZ()) - cnt.FullBlocks*elems
+	return cnt
+}
+
+// sortCountDiag is the sort-based oracle for diagonal blocks.
+func sortCountDiag(p *mat.Pattern, b int) Count {
+	cnt := Count{Shape: DiagShape(b)}
+	var buf []int32
+	for seg := 0; seg*b < p.Rows; seg++ {
+		rowEnd := min((seg+1)*b, p.Rows)
+		fullRows := rowEnd-seg*b == b
+		buf = buf[:0]
+		for row := seg * b; row < rowEnd; row++ {
+			off := int32(row - seg*b)
+			for _, col := range p.RowCols(row) {
+				buf = append(buf, col-off) // may be negative: boundary block
+			}
+		}
+		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+		for i := 0; i < len(buf); {
+			j := i + 1
+			for j < len(buf) && buf[j] == buf[i] {
+				j++
+			}
+			cnt.Blocks++
+			start := buf[i]
+			if fullRows && j-i == b && start >= 0 && int(start)+b <= p.Cols {
+				cnt.FullBlocks++
+			}
+			i = j
+		}
+	}
+	cnt.Padding = cnt.Blocks*int64(b) - int64(p.NNZ())
+	cnt.RemainderNNZ = int64(p.NNZ()) - cnt.FullBlocks*int64(b)
+	return cnt
+}
+
+func sortCount(p *mat.Pattern, s Shape) Count {
+	if s.Kind == Diag {
+		return sortCountDiag(p, s.R)
+	}
+	return sortCountRect(p, s.R, s.C)
+}
+
+// checkAgainstOracle counts every shape with one shared Counter, as an
+// enumeration does, and requires each Count to equal the oracle's.
+func checkAgainstOracle(t *testing.T, name string, p *mat.Pattern) {
+	t.Helper()
+	k := NewCounter(p)
+	for _, s := range AllShapes() {
+		if got, want := k.Count(s), sortCount(p, s); got != want {
+			t.Fatalf("%s %v: counted %+v, oracle %+v", name, s, got, want)
+		}
+	}
+}
+
+func TestCountMatchesOracle(t *testing.T) {
+	for name, m := range testmat.Corpus[float64]() {
+		checkAgainstOracle(t, name, mat.PatternOf(m))
+	}
+}
+
+// fuzzPattern decodes a pattern of at most 64x64 from fuzz bytes: the
+// dimensions from the first two bytes, then one bit per cell, row-major.
+func fuzzPattern(data []byte) *mat.Pattern {
+	rows, cols := 1, 1
+	if len(data) >= 2 {
+		rows, cols = int(data[0]%64)+1, int(data[1]%64)+1
+		data = data[2:]
+	}
+	p := &mat.Pattern{Rows: rows, Cols: cols, RowPtr: make([]int32, rows+1)}
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if bit := r*cols + c; bit/8 < len(data) && data[bit/8]&(1<<(bit%8)) != 0 {
+				p.ColInd = append(p.ColInd, int32(c))
+			}
+		}
+		p.RowPtr[r+1] = int32(len(p.ColInd))
+	}
+	return p
+}
+
+// fuzzSeed encodes a rows x cols pattern holding the given cells in the
+// form fuzzPattern decodes.
+func fuzzSeed(rows, cols int, cells func(r, c int) bool) []byte {
+	data := make([]byte, 2+(rows*cols+7)/8)
+	data[0], data[1] = byte(rows-1), byte(cols-1)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if bit := r*cols + c; cells(r, c) {
+				data[2+bit/8] |= 1 << (bit % 8)
+			}
+		}
+	}
+	return data
+}
+
+// FuzzCount checks the stamp-based counter against the sort-based oracle
+// on every shape, 1x1 included.
+func FuzzCount(f *testing.F) {
+	f.Add(fuzzSeed(13, 17, func(r, c int) bool { return false }))        // empty
+	f.Add(fuzzSeed(1, 64, func(r, c int) bool { return c%5 != 3 }))      // one row
+	f.Add(fuzzSeed(15, 16, func(r, c int) bool { return r >= 12 }))      // bottom-edge blocks
+	f.Add(fuzzSeed(16, 21, func(r, c int) bool { return c >= 16 }))      // right-edge blocks
+	f.Add(fuzzSeed(24, 24, func(r, c int) bool { return r == c }))       // full diagonal
+	f.Add(fuzzSeed(64, 64, func(r, c int) bool { return (r^c)%3 == 0 })) // largest
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, "fuzz", fuzzPattern(data))
+	})
 }

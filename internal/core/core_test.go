@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"blockspmv/internal/blocks"
@@ -112,6 +113,21 @@ func TestStatsMatchConstructedInstances(t *testing.T) {
 			if pad := inst.StoredScalars() - inst.NNZ(); cs.Padding != pad {
 				t.Errorf("%s %s: stats padding %d, instance stores %d",
 					name, cs.Cand, cs.Padding, pad)
+			}
+		}
+	}
+}
+
+// TestEnumerateStatsAllMatchesStatsFor guards the caches EnumerateStatsAll
+// shares across candidates (block counts, partition pricings, SELL
+// layouts, the CSR-DU stream size): every entry must equal what StatsFor
+// computes for that candidate alone.
+func TestEnumerateStatsAllMatchesStatsFor(t *testing.T) {
+	for name, m := range testmat.Corpus[float64]() {
+		p := mat.PatternOf(m)
+		for _, cs := range core.EnumerateStatsAll(p, 8) {
+			if want := core.StatsFor(p, cs.Cand, 8); !reflect.DeepEqual(cs, want) {
+				t.Errorf("%s %s: enumerated %+v, StatsFor %+v", name, cs.Cand, cs, want)
 			}
 		}
 	}

@@ -261,19 +261,26 @@ func statsFromCount(p *mat.Pattern, c Candidate, valSize int, cnt blocks.Count, 
 	return cs
 }
 
+// shapeCounter returns a block counter over p that counts each shape
+// once, with one stamp array shared by every shape (blocks.Counter).
+func shapeCounter(p *mat.Pattern) func(blocks.Shape) blocks.Count {
+	k := blocks.NewCounter(p)
+	counts := make(map[blocks.Shape]blocks.Count)
+	return func(s blocks.Shape) blocks.Count {
+		cnt, ok := counts[s]
+		if !ok {
+			cnt = k.Count(s)
+			counts[s] = cnt
+		}
+		return cnt
+	}
+}
+
 // EnumerateStats computes CandidateStats for the entire selection space of
 // Candidates(), sharing one block-counting pass per shape across the four
 // method/impl combinations that use it.
 func EnumerateStats(p *mat.Pattern, valSize int) []CandidateStats {
-	counts := make(map[blocks.Shape]blocks.Count)
-	shapeCount := func(s blocks.Shape) blocks.Count {
-		if cnt, ok := counts[s]; ok {
-			return cnt
-		}
-		cnt := blocks.CountForShape(p, s)
-		counts[s] = cnt
-		return cnt
-	}
+	shapeCount := shapeCounter(p)
 	irregular := p.IrregularAccesses(IrregularGap)
 	cands := Candidates()
 	out := make([]CandidateStats, len(cands))
@@ -294,15 +301,7 @@ func EnumerateStats(p *mat.Pattern, valSize int) []CandidateStats {
 // SELL (C, σ) layout is priced once and shared across implementations
 // and index widths.
 func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
-	counts := make(map[blocks.Shape]blocks.Count)
-	shapeCount := func(s blocks.Shape) blocks.Count {
-		if cnt, ok := counts[s]; ok {
-			return cnt
-		}
-		cnt := blocks.CountForShape(p, s)
-		counts[s] = cnt
-		return cnt
-	}
+	shapeCount := shapeCounter(p)
 	irregular := p.IrregularAccesses(IrregularGap)
 	streamBytes := int64(-1)
 	partStats := make(map[Candidate]partition.Stats)
