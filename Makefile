@@ -6,7 +6,9 @@
 # the tree (found with go test -list); `make gencheck` regenerates the block
 # kernels into a temp dir and fails if the committed *_gen.go files have
 # drifted from the generator; `make fmt` fails if any Go file in the tree
-# is not gofmt-formatted.
+# is not gofmt-formatted; `make benchmod` vets and tests the separate
+# benchmark/ module (selection pinning, workload smoke runs, the metric
+# table), which the root module's go test ./... never reaches.
 
 GO ?= go
 
@@ -17,9 +19,9 @@ RACE_PKGS = ./internal/workpool ./internal/parallel ./internal/vecops ./internal
 
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race fuzz gencheck bench bench-json
+.PHONY: check fmt vet build test race fuzz gencheck benchmod bench bench-json
 
-check: fmt vet build test race fuzz gencheck
+check: fmt vet build test race fuzz gencheck benchmod
 
 # fmt lists every Go file gofmt would rewrite, and fails if there is one.
 fmt:
@@ -43,6 +45,12 @@ gencheck:
 
 vet:
 	$(GO) vet ./...
+
+# benchmod runs the benchmark module's own checks; it builds against the
+# root module through its replace directive, so a change here that moves a
+# served format or a metric fails the commit that makes it.
+benchmod:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

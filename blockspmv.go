@@ -382,20 +382,7 @@ func RankRHS[T Float](m *Matrix[T], model Model, mach Machine, prof *Profile, rh
 		return []Prediction{{Degraded: true, Reason: "nil matrix"}}
 	}
 	m.Finalize()
-	return core.RankSafe(model, core.WithRHS(safeStats(m), rhs), mach, prof)
-}
-
-// safeStats enumerates candidate statistics under a recover backstop: a
-// structurally corrupt matrix yields an empty candidate set (which the
-// safe selection paths turn into a degraded CSR prediction) rather than
-// a crash.
-func safeStats[T Float](m *Matrix[T]) (stats []core.CandidateStats) {
-	defer func() {
-		if recover() != nil {
-			stats = nil
-		}
-	}()
-	return core.EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[T]())
+	return core.RankSafe(model, core.WithRHS(core.StatsOf(m), rhs), mach, prof)
 }
 
 // Autotune selects the best storage format for the matrix with the
@@ -432,22 +419,7 @@ func autotune[T Float](m *Matrix[T], model Model, mach Machine, prof *Profile, r
 		return nil, Prediction{Degraded: true, Reason: "nil matrix"}
 	}
 	m.Finalize()
-	best := core.SelectSafe(model, core.WithRHS(safeStats(m), rhs), mach, prof)
-	f, err := construct(best.Cand.String(), func() Format[T] { return core.Instantiate(m, best.Cand) })
-	if err == nil {
-		return f, best
-	}
-	// The modelled winner would not build; retreat to CSR, which converts
-	// from any structurally sound matrix.
-	best = Prediction{
-		Cand:     core.Candidate{Method: core.CSR, Shape: RectShape(1, 1)},
-		Degraded: true,
-		Reason:   err.Error(),
-	}
-	f, err = construct("CSR", func() Format[T] { return csr.FromCOO(m, Scalar) })
-	if err != nil {
-		return nil, Prediction{Degraded: true, Reason: err.Error()}
-	}
+	f, best, _ := core.Tune(m, model, mach, prof, rhs)
 	return f, best
 }
 

@@ -253,51 +253,20 @@ func (a *Mat[T, I]) MulRange(x, y []T, r0, r1 int) {
 		panic(fmt.Sprintf("bcsd: MulRange [%d,%d) not aligned to segment size %d", r0, r1, b))
 	}
 	seg0, seg1 := r0/b, (r1+b-1)/b
-	for seg := seg0; seg < seg1; seg++ {
+	for seg := seg0; seg < min(seg1, a.rows/b); seg++ {
 		lo, hi := int(a.browPtr[seg]), int(a.browPtr[seg+1])
 		if lo == hi {
 			continue
 		}
-		bvals := a.bval[lo*b : hi*b]
-		bcols := a.bcol[lo:hi]
-		rowStart := seg * b
-		if rowStart+b <= a.rows {
-			a.kernel(bvals, bcols, x, y[rowStart:rowStart+b])
-		} else {
-			// Bottom-edge segment: compute the surviving rows directly
-			// rather than through the kernel, whose scratch output would
-			// escape to the heap and allocate on every MulRange call.
-			for k := range bcols {
-				col := int(bcols[k])
-				v := bvals[k*b : (k+1)*b]
-				for bi := 0; rowStart+bi < a.rows; bi++ {
-					y[rowStart+bi] += v[bi] * x[col+bi]
-				}
-			}
-		}
+		a.kernel(a.bval[lo*b:hi*b], a.bcol[lo:hi], x, y[seg*b:(seg+1)*b])
 	}
-	for ei, seg := range a.edgeSeg {
-		if int(seg) < seg0 || int(seg) >= seg1 {
-			continue
-		}
-		start := int(a.edgeCol[ei])
-		v := a.edgeVal[ei*b : (ei+1)*b]
-		rowStart := int(seg) * b
-		for k := 0; k < b && rowStart+k < a.rows; k++ {
-			col := start + k
-			if col < 0 || col >= a.cols {
-				continue
-			}
-			y[rowStart+k] += v[k] * x[col]
-		}
-	}
+	a.mulEdges(x, y, 1, seg0, seg1)
 }
 
 // MulRangeMulti implements formats.Instance: the generated multi-RHS
 // diagonal kernel streams each interior segment once across the k-wide
-// panel; bottom-edge segments and boundary blocks mirror MulRange's
-// clipped loops per panel column, keeping every column bit-identical to
-// a single-vector MulRange.
+// panel, and the edge path keeps every panel column bit-identical to a
+// single-vector MulRange.
 func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 	if k == 0 {
 		return
@@ -311,36 +280,27 @@ func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 		kern = kernels.DiagGenericMultiIx[T, I](b)
 	}
 	seg0, seg1 := r0/b, (r1+b-1)/b
-	for seg := seg0; seg < seg1; seg++ {
+	for seg := seg0; seg < min(seg1, a.rows/b); seg++ {
 		lo, hi := int(a.browPtr[seg]), int(a.browPtr[seg+1])
 		if lo == hi {
 			continue
 		}
-		bvals := a.bval[lo*b : hi*b]
-		bcols := a.bcol[lo:hi]
-		rowStart := seg * b
-		if rowStart+b <= a.rows {
-			kern(bvals, bcols, x, y[rowStart*k:(rowStart+b)*k], k)
-		} else {
-			// Bottom-edge segment, clipped as in MulRange.
-			for bk := range bcols {
-				col := int(bcols[bk])
-				v := bvals[bk*b : (bk+1)*b]
-				for bi := 0; rowStart+bi < a.rows; bi++ {
-					for l := 0; l < k; l++ {
-						y[(rowStart+bi)*k+l] += v[bi] * x[(col+bi)*k+l]
-					}
-				}
-			}
-		}
+		kern(a.bval[lo*b:hi*b], a.bcol[lo:hi], x, y[seg*b*k:(seg+1)*b*k], k)
 	}
-	for ei, seg := range a.edgeSeg {
-		if int(seg) < seg0 || int(seg) >= seg1 {
-			continue
-		}
-		start := int(a.edgeCol[ei])
-		v := a.edgeVal[ei*b : (ei+1)*b]
-		rowStart := int(seg) * b
+	a.mulEdges(x, y, k, seg0, seg1)
+}
+
+// mulEdges is the clipped path for the blocks of segments [seg0, seg1)
+// that the unrolled kernels cannot take, over a k-wide panel (k = 1 is
+// the single vector): those of a bottom segment shorter than b, whose
+// kernel would write rows that do not exist, and the boundary blocks,
+// whose kernel would read x out of bounds. At most one segment per
+// matrix is a bottom edge; routing it through the kernel would need a
+// scratch output that escapes to the heap and costs an allocation on
+// every multiply.
+func (a *Mat[T, I]) mulEdges(x, y []T, k, seg0, seg1 int) {
+	b := a.b
+	clipped := func(rowStart, start int, v []T) {
 		for d := 0; d < b && rowStart+d < a.rows; d++ {
 			col := start + d
 			if col < 0 || col >= a.cols {
@@ -349,6 +309,16 @@ func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 			for l := 0; l < k; l++ {
 				y[(rowStart+d)*k+l] += v[d] * x[col*k+l]
 			}
+		}
+	}
+	if seg := a.rows / b; seg < seg1 {
+		for bk := a.browPtr[seg]; bk < a.browPtr[seg+1]; bk++ {
+			clipped(seg*b, int(a.bcol[bk]), a.bval[int(bk)*b:int(bk+1)*b])
+		}
+	}
+	for ei, seg := range a.edgeSeg {
+		if int(seg) >= seg0 && int(seg) < seg1 {
+			clipped(int(seg)*b, int(a.edgeCol[ei]), a.edgeVal[ei*b:(ei+1)*b])
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/conformance"
 	"blockspmv/internal/floats"
+	"blockspmv/internal/formats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/testmat"
 )
@@ -61,14 +62,15 @@ func TestCountsMatchConstruction(t *testing.T) {
 				t.Errorf("%s %s: constructed padding %d, counted %d", name, s, a.Padding(), cnt.Padding)
 			}
 
-			d := bcsd.NewDecomposed(m, s.R, blocks.Scalar)
-			if d.Blocked().Blocks() != cnt.FullBlocks {
+			parts := bcsd.NewDecomposed(m, s.R, blocks.Scalar).Parts()
+			blocked, rem := parts[0].(*bcsd.Matrix[float64]), parts[1]
+			if blocked.Blocks() != cnt.FullBlocks {
 				t.Errorf("%s %s: decomposed has %d full blocks, counted %d",
-					name, s, d.Blocked().Blocks(), cnt.FullBlocks)
+					name, s, blocked.Blocks(), cnt.FullBlocks)
 			}
-			if d.Remainder().NNZ() != cnt.RemainderNNZ {
+			if rem.NNZ() != cnt.RemainderNNZ {
 				t.Errorf("%s %s: decomposed remainder %d, counted %d",
-					name, s, d.Remainder().NNZ(), cnt.RemainderNNZ)
+					name, s, rem.NNZ(), cnt.RemainderNNZ)
 			}
 		}
 	}
@@ -144,6 +146,27 @@ func TestNames(t *testing.T) {
 	}
 	if got := bcsd.NewDecomposed(m, 4, blocks.Vector).Name(); got != "BCSD-DEC(d4)/simd" {
 		t.Errorf("Name = %q", got)
+	}
+	// WithImpl rebuilds a decomposition's name and switches every part.
+	dec := bcsd.NewDecomposedCompact(m, 4, blocks.Scalar)
+	simd := dec.WithImpl(blocks.Vector)
+	for _, tc := range []struct {
+		inst formats.Instance[float64]
+		name string
+		impl blocks.Impl
+	}{
+		{dec, "BCSD-DEC(d4)/ix8", blocks.Scalar},
+		{simd, "BCSD-DEC(d4)/ix8/simd", blocks.Vector},
+		{simd.WithImpl(blocks.Scalar), "BCSD-DEC(d4)/ix8", blocks.Scalar},
+	} {
+		if got := tc.inst.Name(); got != tc.name {
+			t.Errorf("Name = %q, want %q", got, tc.name)
+		}
+		for i, c := range tc.inst.Components() {
+			if c.Impl != tc.impl {
+				t.Errorf("%s: component %d is %v, want %v", tc.name, i, c.Impl, tc.impl)
+			}
+		}
 	}
 }
 

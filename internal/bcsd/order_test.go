@@ -18,7 +18,7 @@ func TestBlockOrder(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		for _, s := range blocks.DiagShapes() {
 			padded := New(m, s.R, blocks.Scalar)
-			dec := NewDecomposed(m, s.R, blocks.Scalar).Blocked()
+			dec := NewDecomposed(m, s.R, blocks.Scalar).Parts()[0].(*Matrix[float64])
 			for kind, a := range map[string]*Matrix[float64]{"padded": padded, "dec": dec} {
 				if err := checkBlockOrder(a); err != nil {
 					t.Errorf("%s %s %s: %v", name, s, kind, err)

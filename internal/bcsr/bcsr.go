@@ -11,9 +11,8 @@
 //
 // Blocks whose column span overhangs the right matrix edge cannot use the
 // unrolled kernels (they would read x out of bounds); they are kept in a
-// small side structure and multiplied by a clipped path. Block rows at the
-// bottom edge shorter than r rows are handled with an on-stack scratch
-// output.
+// small side structure and multiplied by a clipped path. A block row at
+// the bottom edge shorter than r rows takes the same clipped path.
 //
 // The interior block start columns are stored as 4-byte integers in the
 // paper's baseline and as uint16/uint8 in the compressed variants
@@ -261,58 +260,20 @@ func (a *Mat[T, I]) MulRange(x, y []T, r0, r1 int) {
 	}
 	elems := r * c
 	br0, br1 := r0/r, (r1+r-1)/r
-	for br := br0; br < br1; br++ {
+	for br := br0; br < min(br1, a.rows/r); br++ {
 		lo, hi := int(a.browPtr[br]), int(a.browPtr[br+1])
 		if lo == hi {
 			continue
 		}
-		bvals := a.bval[lo*elems : hi*elems]
-		bcols := a.bcol[lo:hi]
-		rowStart := br * r
-		if rowStart+r <= a.rows {
-			a.kernel(bvals, bcols, x, y[rowStart:rowStart+r])
-		} else {
-			// Bottom-edge block row: the kernel would write r rows but
-			// fewer exist, so compute the surviving rows directly. At most
-			// one block row per matrix takes this path; routing it through
-			// the kernel would need a scratch output that escapes to the
-			// heap and costs an allocation on every MulRange call.
-			for k := range bcols {
-				col := int(bcols[k])
-				v := bvals[k*elems : (k+1)*elems]
-				for bi := 0; rowStart+bi < a.rows; bi++ {
-					var acc T
-					for bj := 0; bj < c; bj++ {
-						acc += v[bi*c+bj] * x[col+bj]
-					}
-					y[rowStart+bi] += acc
-				}
-			}
-		}
+		a.kernel(a.bval[lo*elems:hi*elems], a.bcol[lo:hi], x, y[br*r:(br+1)*r])
 	}
-	// Clipped path for right-edge blocks in range.
-	for ei, br := range a.edgeBRow {
-		if int(br) < br0 || int(br) >= br1 {
-			continue
-		}
-		col := int(a.edgeCol[ei])
-		v := a.edgeVal[ei*elems : (ei+1)*elems]
-		rowStart := int(br) * r
-		for bi := 0; bi < r && rowStart+bi < a.rows; bi++ {
-			var acc T
-			for bj := 0; bj < c && col+bj < a.cols; bj++ {
-				acc += v[bi*c+bj] * x[col+bj]
-			}
-			y[rowStart+bi] += acc
-		}
-	}
+	a.mulEdges(x, y, 1, br0, br1)
 }
 
 // MulRangeMulti implements formats.Instance: the generated multi-RHS
 // kernel streams each interior block row once across the k-wide panel,
-// and the bottom/right edge paths mirror MulRange's clipped loops with
-// a per-column local accumulator, keeping every panel column
-// bit-identical to a single-vector MulRange.
+// and the edge path keeps every panel column bit-identical to a
+// single-vector MulRange.
 func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 	if k == 0 {
 		return
@@ -327,41 +288,29 @@ func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 	}
 	elems := r * c
 	br0, br1 := r0/r, (r1+r-1)/r
-	for br := br0; br < br1; br++ {
+	for br := br0; br < min(br1, a.rows/r); br++ {
 		lo, hi := int(a.browPtr[br]), int(a.browPtr[br+1])
 		if lo == hi {
 			continue
 		}
-		bvals := a.bval[lo*elems : hi*elems]
-		bcols := a.bcol[lo:hi]
-		rowStart := br * r
-		if rowStart+r <= a.rows {
-			kern(bvals, bcols, x, y[rowStart*k:(rowStart+r)*k], k)
-		} else {
-			// Bottom-edge block row, clipped as in MulRange.
-			for b := range bcols {
-				col := int(bcols[b])
-				v := bvals[b*elems : (b+1)*elems]
-				for bi := 0; rowStart+bi < a.rows; bi++ {
-					for l := 0; l < k; l++ {
-						var acc T
-						for bj := 0; bj < c; bj++ {
-							acc += v[bi*c+bj] * x[(col+bj)*k+l]
-						}
-						y[(rowStart+bi)*k+l] += acc
-					}
-				}
-			}
-		}
+		kern(a.bval[lo*elems:hi*elems], a.bcol[lo:hi], x, y[br*r*k:(br+1)*r*k], k)
 	}
-	// Clipped path for right-edge blocks in range.
-	for ei, br := range a.edgeBRow {
-		if int(br) < br0 || int(br) >= br1 {
-			continue
-		}
-		col := int(a.edgeCol[ei])
-		v := a.edgeVal[ei*elems : (ei+1)*elems]
-		rowStart := int(br) * r
+	a.mulEdges(x, y, k, br0, br1)
+}
+
+// mulEdges is the clipped path for the blocks of block rows [br0, br1)
+// that the unrolled kernels cannot take, over a k-wide panel (k = 1 is
+// the single vector): those of a bottom block row shorter than r, whose
+// kernel would write rows that do not exist, and the blocks overhanging
+// the right edge, whose kernel would read x out of bounds. Each panel
+// column gets its own accumulator, summed in the single-vector order. At
+// most one block row per matrix is a bottom edge; routing it through the
+// kernel would need a scratch output that escapes to the heap and costs
+// an allocation on every multiply.
+func (a *Mat[T, I]) mulEdges(x, y []T, k, br0, br1 int) {
+	r, c := a.r, a.c
+	elems := r * c
+	clipped := func(rowStart, col int, v []T) {
 		for bi := 0; bi < r && rowStart+bi < a.rows; bi++ {
 			for l := 0; l < k; l++ {
 				var acc T
@@ -370,6 +319,16 @@ func (a *Mat[T, I]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 				}
 				y[(rowStart+bi)*k+l] += acc
 			}
+		}
+	}
+	if br := a.rows / r; br < br1 {
+		for b := a.browPtr[br]; b < a.browPtr[br+1]; b++ {
+			clipped(br*r, int(a.bcol[b]), a.bval[int(b)*elems:int(b+1)*elems])
+		}
+	}
+	for ei, br := range a.edgeBRow {
+		if int(br) >= br0 && int(br) < br1 {
+			clipped(int(br)*r, int(a.edgeCol[ei]), a.edgeVal[ei*elems:(ei+1)*elems])
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/conformance"
 	"blockspmv/internal/floats"
+	"blockspmv/internal/formats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/testmat"
 )
@@ -64,14 +65,15 @@ func TestCountsMatchConstruction(t *testing.T) {
 				t.Errorf("%s %s: constructed padding %d, counted %d", name, s, a.Padding(), cnt.Padding)
 			}
 
-			d := bcsr.NewDecomposed(m, s.R, s.C, blocks.Scalar)
-			if d.Blocked().Blocks() != cnt.FullBlocks {
+			parts := bcsr.NewDecomposed(m, s.R, s.C, blocks.Scalar).Parts()
+			blocked, rem := parts[0].(*bcsr.Matrix[float64]), parts[1]
+			if blocked.Blocks() != cnt.FullBlocks {
 				t.Errorf("%s %s: decomposed has %d full blocks, counted %d",
-					name, s, d.Blocked().Blocks(), cnt.FullBlocks)
+					name, s, blocked.Blocks(), cnt.FullBlocks)
 			}
-			if d.Remainder().NNZ() != cnt.RemainderNNZ {
+			if rem.NNZ() != cnt.RemainderNNZ {
 				t.Errorf("%s %s: decomposed remainder %d, counted %d",
-					name, s, d.Remainder().NNZ(), cnt.RemainderNNZ)
+					name, s, rem.NNZ(), cnt.RemainderNNZ)
 			}
 		}
 	}
@@ -112,10 +114,11 @@ func TestAlignmentForcedPadding(t *testing.T) {
 		t.Errorf("padding = %d, want 12", a.Padding())
 	}
 	// The decomposition finds no full aligned block: everything remains.
-	d := bcsr.NewDecomposed(m, 2, 2, blocks.Scalar)
-	if d.Blocked().Blocks() != 0 || d.Remainder().NNZ() != 4 {
+	parts := bcsr.NewDecomposed(m, 2, 2, blocks.Scalar).Parts()
+	blocked, rem := parts[0].(*bcsr.Matrix[float64]), parts[1]
+	if blocked.Blocks() != 0 || rem.NNZ() != 4 {
 		t.Errorf("decomposed = %d blocks + %d remainder, want 0 + 4",
-			d.Blocked().Blocks(), d.Remainder().NNZ())
+			blocked.Blocks(), rem.NNZ())
 	}
 }
 
@@ -160,6 +163,27 @@ func TestNamesEncodeShapeAndImpl(t *testing.T) {
 	}
 	if got := bcsr.NewDecomposed(m, 4, 1, blocks.Vector).Name(); got != "BCSR-DEC(4x1)/simd" {
 		t.Errorf("Name = %q", got)
+	}
+	// WithImpl rebuilds a decomposition's name and switches every part.
+	dec := bcsr.NewDecomposedCompact(m, 4, 1, blocks.Scalar)
+	simd := dec.WithImpl(blocks.Vector)
+	for _, tc := range []struct {
+		inst formats.Instance[float64]
+		name string
+		impl blocks.Impl
+	}{
+		{dec, "BCSR-DEC(4x1)/ix8", blocks.Scalar},
+		{simd, "BCSR-DEC(4x1)/ix8/simd", blocks.Vector},
+		{simd.WithImpl(blocks.Scalar), "BCSR-DEC(4x1)/ix8", blocks.Scalar},
+	} {
+		if got := tc.inst.Name(); got != tc.name {
+			t.Errorf("Name = %q, want %q", got, tc.name)
+		}
+		for i, c := range tc.inst.Components() {
+			if c.Impl != tc.impl {
+				t.Errorf("%s: component %d is %v, want %v", tc.name, i, c.Impl, tc.impl)
+			}
+		}
 	}
 }
 

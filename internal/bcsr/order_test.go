@@ -17,7 +17,7 @@ func TestBlockOrder(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		for _, s := range append([]blocks.Shape{blocks.RectShape(1, 1)}, blocks.RectShapes()...) {
 			padded := New(m, s.R, s.C, blocks.Scalar)
-			dec := NewDecomposed(m, s.R, s.C, blocks.Scalar).Blocked()
+			dec := NewDecomposed(m, s.R, s.C, blocks.Scalar).Parts()[0].(*Matrix[float64])
 			for kind, a := range map[string]*Matrix[float64]{"padded": padded, "dec": dec} {
 				if err := checkBlockOrder(a); err != nil {
 					t.Errorf("%s %s %s: %v", name, s, kind, err)

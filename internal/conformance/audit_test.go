@@ -28,11 +28,12 @@ var auditExcluded = map[string]string{}
 
 // allocatedSliceBytes walks a storage struct with reflection and sums the
 // backing bytes (len x element size) of every slice field, recursing
-// through pointers to component sub-matrices. This is the ground truth
+// through pointers to component sub-matrices and through slices of
+// component instances (a decomposition's parts). This is the ground truth
 // MatrixBytes must reproduce arithmetically: if a format adds an array
 // the multiply streams without accounting for it, the audit fails.
 func allocatedSliceBytes(v reflect.Value, excluded map[string]bool) int64 {
-	for v.Kind() == reflect.Pointer {
+	for v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface {
 		if v.IsNil() {
 			return 0
 		}
@@ -50,8 +51,14 @@ func allocatedSliceBytes(v reflect.Value, excluded map[string]bool) int64 {
 			if excluded[tp.Field(i).Name] {
 				continue
 			}
-			if f.Type().Elem().Kind() == reflect.Func {
+			switch f.Type().Elem().Kind() {
+			case reflect.Func:
 				continue // kernel dispatch tables, not matrix data
+			case reflect.Interface:
+				for j := 0; j < f.Len(); j++ {
+					total += allocatedSliceBytes(f.Index(j), excluded)
+				}
+				continue
 			}
 			total += int64(f.Len()) * int64(f.Type().Elem().Size())
 		case reflect.Pointer:

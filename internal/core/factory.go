@@ -10,7 +10,9 @@ import (
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/idx"
+	"blockspmv/internal/machine"
 	"blockspmv/internal/mat"
+	"blockspmv/internal/profile"
 	"blockspmv/internal/sell"
 	"blockspmv/internal/vbl"
 	"blockspmv/internal/vbr"
@@ -71,4 +73,35 @@ func Instantiate[T floats.Float](m *mat.COO[T], c Candidate) formats.Instance[T]
 	default:
 		panic(fmt.Sprintf("core: cannot instantiate %v", c))
 	}
+}
+
+// Tune selects the model's fastest candidate for the finalized matrix m,
+// priced for panels of rhs right-hand sides (WithRHS), and builds it. It
+// never panics: enumeration (StatsOf), selection (SelectSafe) and
+// construction each run under a recover backstop. When the winner will
+// not build, Tune falls back to scalar CSR, which converts from any
+// structurally sound matrix, and flags the prediction Degraded with the
+// construction failure as its Reason. The error is non-nil only when CSR
+// will not build either; the instance is then nil.
+func Tune[T floats.Float](m *mat.COO[T], model Model, mach machine.Machine, prof *profile.Table, rhs int) (formats.Instance[T], Prediction, error) {
+	pred := SelectSafe(model, WithRHS(StatsOf(m), rhs), mach, prof)
+	inst, err := build(m, pred.Cand)
+	if err == nil {
+		return inst, pred, nil
+	}
+	pred = Prediction{Cand: baseline, Degraded: true, Reason: err.Error()}
+	if inst, err = build(m, baseline); err != nil {
+		return nil, Prediction{Degraded: true, Reason: err.Error()}, err
+	}
+	return inst, pred, nil
+}
+
+// build is Instantiate under a recover backstop.
+func build[T floats.Float](m *mat.COO[T], c Candidate) (inst formats.Instance[T], err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			inst, err = nil, fmt.Errorf("core: constructing %s panicked: %v", c, r)
+		}
+	}()
+	return Instantiate(m, c), nil
 }

@@ -71,14 +71,17 @@ func unusableReason(model Model, m machine.Machine, prof *profile.Table) string 
 	return ""
 }
 
-// fallback is the degraded prediction: the always-safe scalar CSR
-// baseline, priced by the streaming model when the bandwidth allows it.
+// baseline is the always-safe scalar CSR candidate every degraded
+// selection falls back to.
+var baseline = Candidate{Method: CSR, Shape: blocks.RectShape(1, 1), Impl: blocks.Scalar}
+
+// fallback is the degraded prediction: the scalar CSR baseline, priced by
+// the streaming model when the bandwidth allows it.
 func fallback(stats []CandidateStats, m machine.Machine, reason string) Prediction {
-	cand := Candidate{Method: CSR, Shape: blocks.RectShape(1, 1), Impl: blocks.Scalar}
-	p := Prediction{Cand: cand, Degraded: true, Reason: reason}
+	p := Prediction{Cand: baseline, Degraded: true, Reason: reason}
 	if m.BandwidthBytesPerSec > 0 {
 		for _, cs := range stats {
-			if cs.Cand == cand {
+			if cs.Cand == baseline {
 				p.Seconds = Mem{}.Predict(cs, m, nil)
 				break
 			}

@@ -5,6 +5,7 @@ import (
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/csrdu"
+	"blockspmv/internal/floats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/partition"
 	"blockspmv/internal/sell"
@@ -288,6 +289,19 @@ func EnumerateStats(p *mat.Pattern, valSize int) []CandidateStats {
 		out[i] = statsFromCount(p, c, valSize, shapeCount(c.Shape), irregular)
 	}
 	return out
+}
+
+// StatsOf enumerates the candidate statistics of a finalized matrix
+// (EnumerateStatsAll) under a recover backstop: a structurally corrupt
+// matrix yields an empty set, which SelectSafe and RankSafe turn into the
+// degraded CSR prediction, rather than a crash.
+func StatsOf[T floats.Float](m *mat.COO[T]) (stats []CandidateStats) {
+	defer func() {
+		if recover() != nil {
+			stats = nil
+		}
+	}()
+	return EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[T]())
 }
 
 // EnumerateStatsAll extends EnumerateStats with the compressed-index

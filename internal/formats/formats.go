@@ -3,9 +3,10 @@
 // performance models consume.
 //
 // A format instance is an immutable, multiply-ready representation of one
-// matrix. Decomposed formats (BCSR-DEC, BCSD-DEC) expose one component per
-// submatrix of the decomposition, matching the per-component sums of
-// equations (2) and (3) in the paper.
+// matrix. Every decomposed format (BCSR-DEC, BCSD-DEC, MULTI-DEC) is a
+// Sum: its parts multiply in order into the same output, and it exposes
+// one component per part, matching the per-component sums of equations
+// (2) and (3) in the paper.
 package formats
 
 import (

@@ -4,13 +4,16 @@
 // submatrix of completely dense aligned r x c blocks, a submatrix of
 // completely dense aligned diagonal blocks extracted from the remainder,
 // and a final CSR submatrix with everything left over. No padding is ever
-// stored; the three parts multiply in sequence, accumulating into the
-// same output vector.
+// stored. The result is a three-part formats.Sum, the same type as the
+// two-part BCSR-DEC and BCSD-DEC: the parts multiply in sequence,
+// accumulating into the same output vector.
 //
 // The paper's own evaluation restricts decompositions to k=2 (BCSR-DEC,
-// BCSD-DEC); this package generalises to the mixed k=3 form, and the
-// performance models price it exactly like any other candidate — their
-// equations (2) and (3) are already sums over k components.
+// BCSD-DEC); this package generalises to the mixed k=3 form. Its
+// components price exactly like the two-part sums, since equations (2)
+// and (3) are already sums over k components, but the selector does not
+// enumerate it yet: that needs a construction-free count of the full
+// diagonals left after the rectangles are extracted.
 package multidec
 
 import (
@@ -25,43 +28,24 @@ import (
 	"blockspmv/internal/mat"
 )
 
-// Matrix is the three-way decomposition: full rectangular blocks, full
-// diagonal blocks from the rectangular remainder, and a CSR tail.
-type Matrix[T floats.Float] struct {
-	rect *bcsr.Matrix[T]
-	diag *bcsd.Matrix[T]
-	rem  *csr.Matrix[T]
-
-	rectShape blocks.Shape
-	diagShape blocks.Shape
-	impl      blocks.Impl
-	align     int
-}
-
 // New decomposes a finalized matrix with r x c rectangular blocks and
 // length-b diagonal blocks. Extraction order is rectangles first (they
 // amortise more index bytes per element), diagonals from what remains,
-// CSR for the rest.
-func New[T floats.Float](m *mat.COO[T], r, c, b int, impl blocks.Impl) *Matrix[T] {
+// CSR for the rest. Row ranges align to both the block height and the
+// segment size.
+func New[T floats.Float](m *mat.COO[T], r, c, b int, impl blocks.Impl) *formats.Sum[T] {
 	if !m.Finalized() {
 		panic("multidec: matrix must be finalized")
 	}
 	rectFull, rest := bcsr.SplitFullBlocks(m, r, c)
 	diagFull, rem := bcsd.SplitFullBlocks(rest, b)
 
-	d := &Matrix[T]{
-		rect:      bcsr.New(rectFull, r, c, impl),
-		diag:      bcsd.New(diagFull, b, impl),
-		rem:       csr.FromCOO(rem, impl),
-		rectShape: blocks.RectShape(r, c),
-		diagShape: blocks.DiagShape(b),
-		impl:      impl,
-		align:     lcm(r, b),
-	}
-	if p := d.rect.Padding() + d.diag.Padding(); p != 0 {
+	rect, diag := bcsr.New(rectFull, r, c, impl), bcsd.New(diagFull, b, impl)
+	if p := rect.Padding() + diag.Padding(); p != 0 {
 		panic(fmt.Sprintf("multidec: decomposition stored %d padding zeros", p))
 	}
-	return d
+	name := fmt.Sprintf("MULTI-DEC(%s+%s)", blocks.RectShape(r, c), blocks.DiagShape(b))
+	return formats.NewSum(name, impl, lcm(r, b), rect, diag, csr.FromCOO(rem, impl))
 }
 
 func lcm(a, b int) int {
@@ -70,98 +54,4 @@ func lcm(a, b int) int {
 		x, y = y, x%y
 	}
 	return a / x * b
-}
-
-// Parts returns the three components.
-func (d *Matrix[T]) Parts() (rect, diag, rem formats.Instance[T]) {
-	return d.rect, d.diag, d.rem
-}
-
-// Name implements formats.Instance.
-func (d *Matrix[T]) Name() string {
-	n := fmt.Sprintf("MULTI-DEC(%s+%s)", d.rectShape, d.diagShape)
-	if d.impl == blocks.Vector {
-		n += "/simd"
-	}
-	return n
-}
-
-// Rows implements formats.Instance.
-func (d *Matrix[T]) Rows() int { return d.rect.Rows() }
-
-// Cols implements formats.Instance.
-func (d *Matrix[T]) Cols() int { return d.rect.Cols() }
-
-// NNZ implements formats.Instance.
-func (d *Matrix[T]) NNZ() int64 { return d.rect.NNZ() + d.diag.NNZ() + d.rem.NNZ() }
-
-// StoredScalars implements formats.Instance; the decomposition stores no
-// padding, so this equals NNZ.
-func (d *Matrix[T]) StoredScalars() int64 {
-	return d.rect.StoredScalars() + d.diag.StoredScalars() + d.rem.StoredScalars()
-}
-
-// MatrixBytes implements formats.Instance.
-func (d *Matrix[T]) MatrixBytes() int64 {
-	return d.rect.MatrixBytes() + d.diag.MatrixBytes() + d.rem.MatrixBytes()
-}
-
-// Components implements formats.Instance: the k=3 component list in
-// multiplication order, as equations (2)-(3) sum them.
-func (d *Matrix[T]) Components() []formats.Component {
-	comps := d.rect.Components()
-	comps = append(comps, d.diag.Components()...)
-	comps = append(comps, d.rem.Components()...)
-	return comps
-}
-
-// RowAlign implements formats.Instance: row ranges must respect both the
-// block height and the segment size.
-func (d *Matrix[T]) RowAlign() int { return d.align }
-
-// RowWeights implements formats.Instance.
-func (d *Matrix[T]) RowWeights() []int64 {
-	w := d.rect.RowWeights()
-	for r, rw := range d.diag.RowWeights() {
-		w[r] += rw
-	}
-	for r, rw := range d.rem.RowWeights() {
-		w[r] += rw
-	}
-	return w
-}
-
-// Mul implements formats.Instance.
-func (d *Matrix[T]) Mul(x, y []T) {
-	formats.CheckDims[T](d, x, y)
-	floats.Fill(y, 0)
-	d.MulRange(x, y, 0, d.Rows())
-}
-
-// MulRange implements formats.Instance.
-func (d *Matrix[T]) MulRange(x, y []T, r0, r1 int) {
-	d.rect.MulRange(x, y, r0, r1)
-	d.diag.MulRange(x, y, r0, r1)
-	d.rem.MulRange(x, y, r0, r1)
-}
-
-// MulRangeMulti implements formats.Instance: the three components
-// accumulate into the same output panel in the MulRange order, so every
-// panel column reproduces a single-vector MulRange bit for bit.
-func (d *Matrix[T]) MulRangeMulti(x, y []T, k, r0, r1 int) {
-	d.rect.MulRangeMulti(x, y, k, r0, r1)
-	d.diag.MulRangeMulti(x, y, k, r0, r1)
-	d.rem.MulRangeMulti(x, y, k, r0, r1)
-}
-
-var _ formats.Instance[float64] = (*Matrix[float64])(nil)
-
-// WithImpl implements formats.Instance.
-func (d *Matrix[T]) WithImpl(impl blocks.Impl) formats.Instance[T] {
-	c := *d
-	c.impl = impl
-	c.rect = d.rect.WithImpl(impl).(*bcsr.Matrix[T])
-	c.diag = d.diag.WithImpl(impl).(*bcsd.Matrix[T])
-	c.rem = d.rem.WithImpl(impl).(*csr.Matrix[T])
-	return &c
 }

@@ -7,6 +7,7 @@ import (
 	"blockspmv/internal/bcsr"
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/conformance"
+	"blockspmv/internal/formats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/multidec"
 	"blockspmv/internal/testmat"
@@ -52,7 +53,8 @@ func TestExtractionOrder(t *testing.T) {
 	m.Finalize()
 
 	d := multidec.New(m, 2, 2, 4, blocks.Scalar)
-	rect, diag, rem := d.Parts()
+	parts := d.Parts()
+	rect, diag, rem := parts[0], parts[1], parts[2]
 	if rect.NNZ() != 4 {
 		t.Errorf("rect part has %d nonzeros, want 4", rect.NNZ())
 	}
@@ -77,8 +79,8 @@ func TestRectTakesPrecedence(t *testing.T) {
 		}
 	}
 	m.Finalize()
-	d := multidec.New(m, 2, 2, 2, blocks.Scalar)
-	rect, diag, rem := d.Parts()
+	parts := multidec.New(m, 2, 2, 2, blocks.Scalar).Parts()
+	rect, diag, rem := parts[0], parts[1], parts[2]
 	if rect.NNZ() != 16 || diag.NNZ() != 0 || rem.NNZ() != 0 {
 		t.Errorf("dense matrix split %d/%d/%d, want 16/0/0", rect.NNZ(), diag.NNZ(), rem.NNZ())
 	}
@@ -99,6 +101,30 @@ func TestComponentsAreThree(t *testing.T) {
 	}
 	if !comps[2].Shape.IsUnit() {
 		t.Errorf("component 2 shape %v, want 1x1", comps[2].Shape)
+	}
+	// WithImpl rebuilds the name and switches all three parts.
+	simd := d.WithImpl(blocks.Vector)
+	for _, tc := range []struct {
+		inst formats.Instance[float64]
+		name string
+		impl blocks.Impl
+	}{
+		{d, "MULTI-DEC(2x2+d4)", blocks.Scalar},
+		{simd, "MULTI-DEC(2x2+d4)/simd", blocks.Vector},
+		{simd.WithImpl(blocks.Scalar), "MULTI-DEC(2x2+d4)", blocks.Scalar},
+	} {
+		if got := tc.inst.Name(); got != tc.name {
+			t.Errorf("Name = %q, want %q", got, tc.name)
+		}
+		comps := tc.inst.Components()
+		if len(comps) != 3 {
+			t.Fatalf("%s has %d components, want 3", tc.name, len(comps))
+		}
+		for i, c := range comps {
+			if c.Impl != tc.impl {
+				t.Errorf("%s: component %d is %v, want %v", tc.name, i, c.Impl, tc.impl)
+			}
+		}
 	}
 }
 
@@ -131,11 +157,10 @@ func TestDiagonalExtractionBeatsK2(t *testing.T) {
 	}
 	m.Finalize()
 
-	d3 := multidec.New(m, 2, 2, 4, blocks.Scalar)
-	_, _, rem3 := d3.Parts()
-	d2 := bcsr.NewDecomposed(m, 2, 2, blocks.Scalar)
-	if rem3.NNZ() >= d2.Remainder().NNZ() {
+	rem3 := multidec.New(m, 2, 2, 4, blocks.Scalar).Parts()[2]
+	rem2 := bcsr.NewDecomposed(m, 2, 2, blocks.Scalar).Parts()[1]
+	if rem3.NNZ() >= rem2.NNZ() {
 		t.Errorf("k=3 remainder %d not smaller than k=2 remainder %d",
-			rem3.NNZ(), d2.Remainder().NNZ())
+			rem3.NNZ(), rem2.NNZ())
 	}
 }

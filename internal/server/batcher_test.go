@@ -8,12 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"blockspmv/internal/blocks"
+	"blockspmv/internal/csr"
 	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/leakcheck"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/testmat"
 )
+
+// buildCSR is the untuned scalar CSR instance the tests register directly,
+// bypassing format selection.
+func buildCSR(m *mat.COO[float64]) formats.Instance[float64] {
+	return csr.FromCOO(m, blocks.Scalar)
+}
 
 // slowInst wraps a format with kernels that sleep for d and then, when
 // gate is set, block until it is closed, so tests can hold a batch in
@@ -54,10 +62,7 @@ func (s *slowInst[T]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 // t.Cleanup, registered before holdLoop, so it runs after the gate opens.
 func holdLoop(t *testing.T, g *Registry, name string, m *mat.COO[float64]) (release func() error) {
 	t.Helper()
-	inst, err := buildCSR(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := buildCSR(m)
 	gate := make(chan struct{})
 	if _, err := g.RegisterInstance(name, &slowInst[float64]{Instance: inst, gate: gate}); err != nil {
 		t.Fatal(err)
@@ -254,10 +259,7 @@ func TestBatcherSheds(t *testing.T) {
 	g := NewRegistry(Config{Workers: 1, BatchMax: 1, QueueDepth: 2}, nil)
 	defer g.Close()
 	m := testmat.Random[float64](20, 20, 0.3, 9)
-	inst, err := buildCSR(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := buildCSR(m)
 	if _, err := g.RegisterInstance("slow", &slowInst[float64]{Instance: inst, d: 50 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -385,10 +387,7 @@ func TestBatcherDrainShedsQueue(t *testing.T) {
 	leakcheck.Check(t)
 	g := NewRegistry(Config{Workers: 2, BatchMax: 1, QueueDepth: 8}, nil)
 	m := testmat.Random[float64](30, 30, 0.2, 13)
-	inst, err := buildCSR(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := buildCSR(m)
 	if _, err := g.RegisterInstance("slow", &slowInst[float64]{Instance: inst, d: 60 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}

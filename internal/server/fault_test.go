@@ -33,10 +33,7 @@ func TestFaultIsolationAcrossMatrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := testmat.Random[float64](40, 40, 0.2, 92)
-	badInst, err := buildCSR(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
+	badInst := buildCSR(bad)
 	if _, err := g.RegisterInstance("boom", faultcheck.Wrap(badInst).FailAfter(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +77,7 @@ func TestFaultIsolationAcrossMatrices(t *testing.T) {
 	}
 
 	// The poisoned pool fails fast on subsequent requests, still typed.
-	_, err = g.MulVec(context.Background(), "boom", testVec(40))
+	_, err := g.MulVec(context.Background(), "boom", testVec(40))
 	if !errors.Is(err, workpool.ErrPoisoned) {
 		var again *workpool.PanicError
 		if !errors.As(err, &again) {
@@ -109,10 +106,7 @@ func TestFaultTypedHTTPResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := testmat.Random[float64](30, 30, 0.25, 94)
-	badInst, err := buildCSR(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
+	badInst := buildCSR(bad)
 	if _, err := s.Registry().RegisterInstance("boom", faultcheck.Wrap(badInst).FailOnRow(5)); err != nil {
 		t.Fatal(err)
 	}

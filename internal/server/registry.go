@@ -8,10 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"blockspmv/internal/blocks"
 	"blockspmv/internal/core"
-	"blockspmv/internal/csr"
-	"blockspmv/internal/floats"
 	"blockspmv/internal/formats"
 	"blockspmv/internal/machine"
 	"blockspmv/internal/mat"
@@ -269,13 +266,9 @@ func (g *Registry) tune(name string, m *mat.COO[float64]) (Info, formats.Instanc
 	// Price candidates for the traffic the batcher creates: the matrix
 	// stream once per panel of up to BatchMax vectors.
 	rhs := g.cfg.BatchMax
-	pred := core.SelectSafe(g.cfg.Model, core.WithRHS(safeStats(m), rhs), g.cfg.Mach, g.cfg.Prof)
-	inst, err := buildInstance(m, pred.Cand)
+	inst, pred, err := core.Tune(m, g.cfg.Model, g.cfg.Mach, g.cfg.Prof, rhs)
 	if err != nil {
-		pred = core.Prediction{Degraded: true, Reason: err.Error()}
-		if inst, err = buildCSR(m); err != nil {
-			return Info{}, nil, fmt.Errorf("server: matrix %q unconvertible: %w", name, err)
-		}
+		return Info{}, nil, fmt.Errorf("server: matrix %q unconvertible: %w", name, err)
 	}
 	info := Info{
 		Name: name, Rows: m.Rows(), Cols: m.Cols(), NNZ: int64(m.NNZ()),
@@ -595,37 +588,4 @@ func (g *Registry) Close() {
 		b.close()
 	}
 	g.wg.Wait()
-}
-
-// safeStats enumerates candidate statistics under a recover backstop,
-// mirroring the facade: a structurally corrupt matrix yields an empty
-// set, which SelectSafe turns into the degraded CSR prediction.
-func safeStats(m *mat.COO[float64]) (stats []core.CandidateStats) {
-	defer func() {
-		if recover() != nil {
-			stats = nil
-		}
-	}()
-	return core.EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[float64]())
-}
-
-// buildInstance instantiates the selected candidate under a recover
-// backstop.
-func buildInstance(m *mat.COO[float64], c core.Candidate) (inst formats.Instance[float64], err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			inst, err = nil, fmt.Errorf("server: constructing %s panicked: %v", c, r)
-		}
-	}()
-	return core.Instantiate(m, c), nil
-}
-
-// buildCSR is the always-applicable fallback constructor.
-func buildCSR(m *mat.COO[float64]) (inst formats.Instance[float64], err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			inst, err = nil, fmt.Errorf("server: constructing CSR panicked: %v", r)
-		}
-	}()
-	return csr.FromCOO(m, blocks.Scalar), nil
 }

@@ -224,10 +224,7 @@ func TestServerTimeoutHeader(t *testing.T) {
 	s, base, client, stop := startServer(t, Config{Workers: 1, BatchMax: 1, QueueDepth: 4})
 	defer stop()
 	m := testmat.Random[float64](20, 20, 0.3, 61)
-	inst, err := buildCSR(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := buildCSR(m)
 	if _, err := s.Registry().RegisterInstance("slow", &slowInst[float64]{Instance: inst, d: 200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +290,7 @@ func TestServerShutdownDrainsAndSheds(t *testing.T) {
 	leakcheck.Check(t)
 	s, base, client, stop := startServer(t, Config{Workers: 1, BatchMax: 1, QueueDepth: 8})
 	m := testmat.Random[float64](30, 30, 0.2, 71)
-	inst, err := buildCSR(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := buildCSR(m)
 	if _, err := s.Registry().RegisterInstance("slow", &slowInst[float64]{Instance: inst, d: 80 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
