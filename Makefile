@@ -8,7 +8,10 @@
 # drifted from the generator; `make fmt` fails if any Go file in the tree
 # is not gofmt-formatted; `make benchmod` vets and tests the separate
 # benchmark/ module (selection pinning, workload smoke runs, the metric
-# table), which the root module's go test ./... never reaches.
+# table), which the root module's go test ./... never reaches. `make
+# testids` (not part of check) prints one sorted "package test/subtest"
+# line per passing test of both modules, so the test sets of two commits
+# compare with one diff.
 
 GO ?= go
 
@@ -19,7 +22,7 @@ RACE_PKGS = ./internal/workpool ./internal/parallel ./internal/vecops ./internal
 
 FUZZTIME ?= 5s
 
-.PHONY: check fmt vet build test race fuzz gencheck benchmod bench bench-json
+.PHONY: check fmt vet build test race fuzz gencheck benchmod testids bench bench-json
 
 check: fmt vet build test race fuzz gencheck benchmod
 
@@ -51,6 +54,13 @@ vet:
 # served format or a metric fails the commit that makes it.
 benchmod:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# testids keeps the pass events of go test -json; a failing or unbuilt
+# test prints no line, so it shows in the diff as a missing one.
+testids:
+	@{ $(GO) test -json ./...; cd benchmark && $(GO) test -json ./...; } | \
+	sed -n 's/.*"Action":"pass","Package":"\([^"]*\)","Test":"\([^"]*\)".*/\1 \2/p' | \
+	LC_ALL=C sort
 
 build:
 	$(GO) build ./...

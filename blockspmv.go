@@ -352,10 +352,13 @@ func MulVecs[T Float](f Format[T], x, y [][]T) { formats.MulVecs(f, x, y) }
 
 // Rank prices every candidate format for the matrix under the model and
 // returns the predictions sorted fastest-first. The selection space is
-// the paper's (CSR, BCSR, BCSD and their decompositions) plus the
-// compressed-index variants the matrix admits — narrow-index mirrors of
-// every blocked shape and the delta-encoded CSR-DU — ranked on equal
-// footing via their exact working-set sizes.
+// the paper's (CSR, BCSR, BCSD and their decompositions), each at the
+// narrowest column-index width the matrix admits, plus the
+// delta-encoded CSR-DU, the variable-block VBR and 1D-VBL (run detection
+// and, where it prices differently, the cost-model DP partition) and
+// SELL-C-σ, ranked on equal footing via their exact working-set sizes. A
+// 4-byte-index twin of a narrow candidate is left out: it always prices
+// above it.
 //
 // Caveat: the models price CSR-DU by its byte stream alone. On patterns
 // whose column gaps defeat delta grouping (e.g. uniform-random rows),
@@ -407,9 +410,9 @@ func AutotuneRHS[T Float](m *Matrix[T], mach Machine, prof *Profile, rhs int) (F
 	return autotune(m, core.Overlap{}, mach, prof, rhs)
 }
 
-// AutotuneWith is Autotune under a caller-chosen model. Like Rank, it
-// selects over the paper's formats and the compressed-index variants,
-// with the same graceful-degradation contract as Autotune.
+// AutotuneWith is Autotune under a caller-chosen model. It selects over
+// the space Rank ranks, with the same graceful-degradation contract as
+// Autotune.
 func AutotuneWith[T Float](m *Matrix[T], model Model, mach Machine, prof *Profile) (Format[T], Prediction) {
 	return autotune(m, model, mach, prof, 1)
 }

@@ -95,14 +95,14 @@ func TestRankCoversSelectionSpace(t *testing.T) {
 	prof := testProfile(t)
 	for _, model := range blockspmv.Models() {
 		preds := blockspmv.Rank(m, model, testMachine(), prof)
-		// The paper's 106-candidate space plus the compressed-index
-		// variants a 64-column matrix admits (the uint8 mirror of all 106
-		// and the two CSR-DU candidates) plus the eight variable-block
-		// candidates (VBR and 1D-VBL, heuristic and DP partitions, scalar
-		// and simd) plus the 24 SELL-C-σ candidates (3 chunks x 2 sigmas
-		// x 2 impls, mirrored at the admitted narrow width).
-		if len(preds) != 246 {
-			t.Fatalf("%s: ranked %d candidates, want 246", model.Name(), len(preds))
+		// The paper's 106 fixed-shape candidates at the uint8 width a
+		// 64-column matrix admits, the two CSR-DU candidates, the six
+		// variable-block candidates (VBR and 1D-VBL by run detection,
+		// VBR-DP; the 1D-VBL DP merges nothing at dp and prices like run
+		// detection, so it is dropped) and the 12 SELL-C-σ candidates
+		// (3 chunks x 2 sigmas x 2 impls).
+		if len(preds) != 126 {
+			t.Fatalf("%s: ranked %d candidates, want 126", model.Name(), len(preds))
 		}
 		seen := make(map[string]bool)
 		for i := 1; i < len(preds); i++ {
@@ -113,9 +113,15 @@ func TestRankCoversSelectionSpace(t *testing.T) {
 		for _, p := range preds {
 			seen[p.Cand.String()] = true
 		}
-		for _, want := range []string{"CSR", "CSR/ix8", "CSR-DU", "BCSR(2x4)/ix8/simd"} {
+		for _, want := range []string{"CSR/ix8", "CSR-DU", "BCSR(2x4)/ix8/simd", "VBR-DP", "SELL-8-n/ix8"} {
 			if !seen[want] {
 				t.Errorf("%s: candidate %s missing from ranking", model.Name(), want)
+			}
+		}
+		// A 4-byte twin of a narrow candidate can never be selected.
+		for _, twin := range []string{"CSR", "BCSR(2x4)/simd", "SELL-8-n"} {
+			if seen[twin] {
+				t.Errorf("%s: 4-byte twin %s ranked", model.Name(), twin)
 			}
 		}
 	}

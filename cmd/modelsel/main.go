@@ -1,5 +1,6 @@
 // Command modelsel runs the three performance models on one matrix and
-// reports each model's format selection and top-ranked candidates.
+// reports each model's format selection and top-ranked candidates, over
+// the same candidate space Autotune selects from (core.EnumerateStatsAll).
 //
 // The matrix is either a suite entry (-matrix rajat31) or a Matrix Market
 // file (-mtx path/to/file.mtx).
@@ -33,9 +34,6 @@ func main() {
 		precision = flag.String("precision", "dp", "element precision: sp or dp")
 		topN      = flag.Int("top", 5, "ranked candidates to show per model")
 		explain   = flag.Bool("explain", false, "break each model's selection into memory/compute terms")
-		compress  = flag.Bool("compress", true, "include compressed-index candidates (narrow indices, CSR-DU) in the ranking")
-		vbrFlag   = flag.Bool("vbr", true, "include variable-block candidates (VBR, 1D-VBL and their DP-partitioned variants) in the ranking")
-		sellFlag  = flag.Bool("sell", true, "include SELL-C-σ candidates (sorted sliced ELLPACK) in the ranking")
 		rhs       = flag.Int("rhs", 1, "panel width k: rank for a k-wide multi-RHS multiply (MulVecs), charging the matrix stream once and the vectors k times")
 	)
 	flag.Parse()
@@ -49,16 +47,16 @@ func main() {
 	}
 	switch *precision {
 	case "dp":
-		run[float64](*name, *mtxPath, *scaleName, *topN, *explain, *compress, *vbrFlag, *sellFlag, *rhs)
+		run[float64](*name, *mtxPath, *scaleName, *topN, *explain, *rhs)
 	case "sp":
-		run[float32](*name, *mtxPath, *scaleName, *topN, *explain, *compress, *vbrFlag, *sellFlag, *rhs)
+		run[float32](*name, *mtxPath, *scaleName, *topN, *explain, *rhs)
 	default:
 		fmt.Fprintln(os.Stderr, "modelsel: -precision must be sp or dp")
 		os.Exit(2)
 	}
 }
 
-func run[T floats.Float](name, mtxPath, scaleName string, topN int, explain, compress, vbr, sellOK bool, rhs int) {
+func run[T floats.Float](name, mtxPath, scaleName string, topN int, explain bool, rhs int) {
 	m := loadMatrix[T](name, mtxPath, scaleName)
 	fmt.Printf("matrix: %dx%d, %d nonzeros, %.2f MiB in CSR\n",
 		m.Rows(), m.Cols(), m.NNZ(),
@@ -71,28 +69,7 @@ func run[T floats.Float](name, mtxPath, scaleName string, topN int, explain, com
 	fmt.Println("profiling kernels...")
 	prof := profile.Collect[T](mach, profile.Options{})
 
-	// With -compress the selection space gains the narrow-index mirrors,
-	// CSR-DU and the variable-block candidates, priced by their exact
-	// working sets; -vbr=false drops the variable-block family from the
-	// ranking (the DP aggregation is the costliest enumeration step).
-	enumerate := core.EnumerateStats
-	if compress {
-		enumerate = core.EnumerateStatsAll
-	}
-	stats := enumerate(mat.PatternOf(m), floats.SizeOf[T]())
-	if !vbr || !sellOK {
-		kept := stats[:0]
-		for _, cs := range stats {
-			if !vbr && (cs.Cand.Method == core.VBR || cs.Cand.Method == core.VBL) {
-				continue
-			}
-			if !sellOK && cs.Cand.Method == core.SELL {
-				continue
-			}
-			kept = append(kept, cs)
-		}
-		stats = kept
-	}
+	stats := core.EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[T]())
 	if rhs > 1 {
 		stats = core.WithRHS(stats, rhs)
 		fmt.Printf("ranking for a %d-wide panel (predicted times cover all %d right-hand sides)\n", rhs, rhs)

@@ -24,8 +24,8 @@ import (
 // extends the candidate space with them anyway — VBR and VBL carry exact
 // construction-free byte accounting (internal/partition), so the models
 // can rank them like any fixed-shape method. They appear only in the
-// extended enumeration (CandidatesPartitioned / EnumerateStatsAll), never
-// in the paper-faithful baseline Candidates().
+// served enumeration (CandidatesFor / EnumerateStatsAll), never in the
+// paper-faithful baseline Candidates().
 type Method int
 
 const (
@@ -112,12 +112,12 @@ const (
 // the kernel implementation class, the column-index storage width, the
 // partitioning strategy (variable-block methods only), and the slice
 // height and sorting scope (SELL only). The zero Width is the paper's
-// 4-byte baseline, so pre-existing candidates are unchanged; narrow
-// widths describe the compressed-index variants and CSR-DU ignores the
-// field (its indices are delta-encoded, not fixed-width). Chunk and
-// Sigma are zero for every non-SELL method; for SELL, Sigma follows
-// the sell package convention that a non-positive value means
-// whole-matrix sorting ("n").
+// 4-byte index; the served space (CandidatesFor) lists each fixed-shape
+// and SELL candidate only at the width the matrix's column count fits,
+// and CSR-DU ignores the field (its indices are delta-encoded, not
+// fixed-width). Chunk and Sigma are zero for every non-SELL method; for
+// SELL, Sigma follows the sell package convention that a non-positive
+// value means whole-matrix sorting ("n").
 type Candidate struct {
 	Method Method
 	Shape  blocks.Shape
@@ -157,60 +157,60 @@ func (c Candidate) String() string {
 // Candidates enumerates the full selection space the paper's experiments
 // rank: CSR, every BCSR and BCSR-DEC rectangular shape with at most eight
 // elements, and every BCSD and BCSD-DEC diagonal length, each in scalar
-// and simd variants. Scalar candidates precede simd ones so that models
-// that cannot distinguish implementations (MEM) resolve ties to the
-// non-simd version, as the paper does.
+// and simd variants, at the paper's 4-byte index width. Scalar candidates
+// precede simd ones so that models that cannot distinguish
+// implementations (MEM) resolve ties to the non-simd version, as the
+// paper does.
 func Candidates() []Candidate {
 	var out []Candidate
 	for _, impl := range blocks.Impls() {
-		out = append(out, Candidate{Method: CSR, Shape: blocks.RectShape(1, 1), Impl: impl})
-		for _, s := range blocks.RectShapes() {
-			out = append(out, Candidate{Method: BCSR, Shape: s, Impl: impl})
-			out = append(out, Candidate{Method: BCSRDec, Shape: s, Impl: impl})
-		}
-		for _, s := range blocks.DiagShapes() {
-			out = append(out, Candidate{Method: BCSD, Shape: s, Impl: impl})
-			out = append(out, Candidate{Method: BCSDDec, Shape: s, Impl: impl})
-		}
+		out = append(out, fixedShapes(impl, idx.W32)...)
 	}
 	return out
 }
 
-// CandidatesCompressed enumerates the compressed-index variants a matrix
-// of the given width admits: CSR-DU always, plus the narrow-index mirror
-// of the full Candidates() space whenever the column count fits a 1- or
-// 2-byte index. Scalar candidates precede simd ones, like Candidates().
-// The plain baseline candidates are not repeated; append this to
-// Candidates() (or use EnumerateStatsAll) for the combined space.
-func CandidatesCompressed(cols int) []Candidate {
-	var out []Candidate
-	w := idx.FitsCols(cols)
-	for _, impl := range blocks.Impls() {
-		out = append(out, Candidate{Method: CSRDU, Shape: blocks.RectShape(1, 1), Impl: impl})
-		if w == idx.W32 {
-			continue
-		}
-		out = append(out, Candidate{Method: CSR, Shape: blocks.RectShape(1, 1), Impl: impl, Width: w})
-		for _, s := range blocks.RectShapes() {
-			out = append(out, Candidate{Method: BCSR, Shape: s, Impl: impl, Width: w})
-			out = append(out, Candidate{Method: BCSRDec, Shape: s, Impl: impl, Width: w})
-		}
-		for _, s := range blocks.DiagShapes() {
-			out = append(out, Candidate{Method: BCSD, Shape: s, Impl: impl, Width: w})
-			out = append(out, Candidate{Method: BCSDDec, Shape: s, Impl: impl, Width: w})
-		}
+// fixedShapes lists the fixed-shape candidates of one implementation at
+// one index width, in the paper's order: CSR, then BCSR and BCSR-DEC per
+// rectangular shape, then BCSD and BCSD-DEC per diagonal length.
+func fixedShapes(impl blocks.Impl, w idx.Width) []Candidate {
+	out := []Candidate{{Method: CSR, Shape: blocks.RectShape(1, 1), Impl: impl, Width: w}}
+	for _, s := range blocks.RectShapes() {
+		out = append(out,
+			Candidate{Method: BCSR, Shape: s, Impl: impl, Width: w},
+			Candidate{Method: BCSRDec, Shape: s, Impl: impl, Width: w})
+	}
+	for _, s := range blocks.DiagShapes() {
+		out = append(out,
+			Candidate{Method: BCSD, Shape: s, Impl: impl, Width: w},
+			Candidate{Method: BCSDDec, Shape: s, Impl: impl, Width: w})
 	}
 	return out
+}
+
+// CandidatesFor enumerates the space a matrix of cols columns is selected
+// over (EnumerateStatsAll): per implementation CSR-DU and the fixed-shape
+// candidates, then the variable-block and SELL candidates, each
+// fixed-shape and SELL candidate at the one index width the columns fit
+// (idx.FitsCols). A 4-byte twin of a narrow candidate has the same
+// compute term and more bytes under every model, so it is not listed.
+func CandidatesFor(cols int) []Candidate {
+	w := idx.FitsCols(cols)
+	var out []Candidate
+	for _, impl := range blocks.Impls() {
+		out = append(out, Candidate{Method: CSRDU, Shape: blocks.RectShape(1, 1), Impl: impl})
+		out = append(out, fixedShapes(impl, w)...)
+	}
+	out = append(out, CandidatesPartitioned()...)
+	return append(out, CandidatesSell(cols)...)
 }
 
 // CandidatesPartitioned enumerates the variable-block candidates: VBR and
 // 1D-VBL, each with the run-detection heuristic partition and the
 // cost-model DP partition, in scalar and simd variants. Scalar precedes
 // simd and the heuristic precedes the DP, so models that cannot separate
-// them (MEM prices scalar and simd identically, and the DP ties the
-// heuristic when aggregation finds nothing to merge) resolve ties to the
-// simpler candidate. Like CandidatesCompressed, this is an extension
-// space: append it to Candidates() or use EnumerateStatsAll.
+// them (MEM prices scalar and simd identically) resolve ties to the
+// simpler candidate. EnumerateStatsAll drops a DP candidate whose
+// partition prices exactly like run detection.
 func CandidatesPartitioned() []Candidate {
 	var out []Candidate
 	for _, impl := range blocks.Impls() {
@@ -229,25 +229,18 @@ func SellChunks() []int { return []int{4, 8, 32} }
 
 // CandidatesSell enumerates the SELL-C-σ candidates a matrix of the
 // given width admits: every slice height of SellChunks(), unsorted
-// (σ=1) and whole-matrix sorted (σ=n, encoded Sigma=0), at the 4-byte
-// baseline index width plus the narrow width the column count fits.
-// Scalar precedes simd and unsorted precedes sorted, so models blind to
-// a distinction (MEM prices scalar and simd identically, and σ cannot
-// reduce padding on uniform row lengths) resolve ties to the simpler
-// candidate. Like the other extension spaces, append this to
-// Candidates() or use EnumerateStatsAll.
+// (σ=1) and whole-matrix sorted (σ=n, encoded Sigma=0), at the index
+// width the column count fits. Scalar precedes simd and unsorted
+// precedes sorted, so models blind to a distinction (MEM prices scalar
+// and simd identically, and σ cannot reduce padding on uniform row
+// lengths) resolve ties to the simpler candidate.
 func CandidatesSell(cols int) []Candidate {
 	var out []Candidate
 	w := idx.FitsCols(cols)
 	for _, impl := range blocks.Impls() {
 		for _, c := range SellChunks() {
 			for _, sigma := range []int{1, 0} {
-				cand := Candidate{Method: SELL, Shape: blocks.RectShape(1, 1), Impl: impl, Chunk: c, Sigma: sigma}
-				out = append(out, cand)
-				if w != idx.W32 {
-					cand.Width = w
-					out = append(out, cand)
-				}
+				out = append(out, Candidate{Method: SELL, Shape: blocks.RectShape(1, 1), Impl: impl, Width: w, Chunk: c, Sigma: sigma})
 			}
 		}
 	}

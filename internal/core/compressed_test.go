@@ -14,60 +14,66 @@ import (
 )
 
 func TestCandidatesCompressedEnumeration(t *testing.T) {
-	// A 100-column matrix admits uint8 indices: CSR-DU plus the full
-	// narrow mirror of the baseline space, per impl.
-	cands := core.CandidatesCompressed(100)
-	if len(cands) != 108 {
-		t.Fatalf("enumerated %d compressed candidates for 100 cols, want 108", len(cands))
-	}
-	for i, c := range cands[:54] {
-		if c.Impl != blocks.Scalar {
-			t.Fatalf("candidate %d (%v) is not scalar", i, c)
+	// Every fixed-shape and SELL candidate appears once, at the one width
+	// the columns fit: per impl CSR-DU plus the 53 fixed shapes, then the
+	// 8 variable-block and 12 SELL candidates.
+	for _, tc := range []struct {
+		cols  int
+		width idx.Width
+		want  []string
+	}{
+		{100, idx.W8, []string{"CSR-DU", "CSR-DU/simd", "CSR/ix8", "BCSR(2x3)/ix8", "BCSD-DEC(d4)/ix8/simd", "SELL-8-n/ix8"}},
+		{50000, idx.W16, []string{"CSR/ix16", "BCSR-DEC(4x2)/ix16/simd", "SELL-4-1/ix16"}},
+		{1 << 20, idx.W32, []string{"CSR-DU", "CSR", "BCSR(2x3)", "BCSD-DEC(d4)/simd", "SELL-8-n"}},
+	} {
+		cands := core.CandidatesFor(tc.cols)
+		if len(cands) != 128 {
+			t.Fatalf("%d cols: enumerated %d candidates, want 128", tc.cols, len(cands))
 		}
-	}
-	seen := make(map[string]bool)
-	for _, c := range cands {
-		s := c.String()
-		if seen[s] {
-			t.Errorf("duplicate candidate %s", s)
+		for i, c := range cands[:54] {
+			if c.Impl != blocks.Scalar {
+				t.Fatalf("%d cols: candidate %d (%v) is not scalar", tc.cols, i, c)
+			}
 		}
-		seen[s] = true
-		if c.Method != core.CSRDU && c.Width != idx.W8 {
-			t.Errorf("%s: width %v, want ix8", s, c.Width)
+		seen := make(map[string]bool)
+		for _, c := range cands {
+			s := c.String()
+			if seen[s] {
+				t.Errorf("%d cols: duplicate candidate %s", tc.cols, s)
+			}
+			seen[s] = true
+			if c.Method == core.CSRDU || c.Method == core.VBR || c.Method == core.VBL {
+				if c.Width != idx.W32 {
+					t.Errorf("%d cols: %s carries width %v", tc.cols, s, c.Width)
+				}
+			} else if c.Width != tc.width {
+				t.Errorf("%d cols: %s: width %v, want %v", tc.cols, s, c.Width, tc.width)
+			}
 		}
-	}
-	for _, want := range []string{"CSR-DU", "CSR-DU/simd", "CSR/ix8", "BCSR(2x3)/ix8", "BCSD-DEC(d4)/ix8/simd"} {
-		if !seen[want] {
-			t.Errorf("expected candidate %s missing", want)
+		for _, want := range tc.want {
+			if !seen[want] {
+				t.Errorf("%d cols: expected candidate %s missing", tc.cols, want)
+			}
 		}
-	}
-
-	// A 50000-column matrix narrows to uint16.
-	for _, c := range core.CandidatesCompressed(50000) {
-		if c.Method != core.CSRDU && c.Width != idx.W16 {
-			t.Errorf("%s: width %v, want ix16", c, c.Width)
-		}
-	}
-
-	// Too wide for narrow indices: only the delta-encoded variant remains.
-	wide := core.CandidatesCompressed(1 << 20)
-	if len(wide) != 2 || wide[0].Method != core.CSRDU || wide[1].Method != core.CSRDU {
-		t.Fatalf("wide-matrix compressed candidates = %v, want the two CSR-DU variants", wide)
 	}
 }
 
 // TestCompressedStatsMatchInstances is the compressed-variant analog of
 // TestStatsMatchConstructedInstances: construction-free statistics must
 // agree with the built formats, and candidate names with instance names.
+// It audits the served space plus every twin it drops: each fixed-shape
+// and SELL candidate at both widths, CSR-DU, and all eight variable-block
+// candidates.
 func TestCompressedStatsMatchInstances(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		p := mat.PatternOf(m)
-		baseline := len(core.EnumerateStats(p, 8))
 		all := core.EnumerateStatsAll(p, 8)
-		if len(all) < baseline+2 {
-			t.Fatalf("%s: EnumerateStatsAll returned %d stats, baseline is %d", name, len(all), baseline)
+		twins, _ := droppedTwins(p, all)
+		audited := append(all, twins...)
+		if len(audited) != 246 {
+			t.Errorf("%s: audited %d candidates, want 246", name, len(audited))
 		}
-		for _, cs := range all[baseline:] {
+		for _, cs := range audited {
 			inst := core.Instantiate(m, cs.Cand)
 			if inst.Name() != cs.Cand.String() {
 				t.Errorf("%s: instance name %q != candidate %q", name, inst.Name(), cs.Cand.String())
@@ -106,15 +112,15 @@ func TestCompressedStatsMatchInstances(t *testing.T) {
 	}
 }
 
-// TestCompressedInstancesMultiplyCorrectly runs every compressed
-// candidate of a narrow matrix through Instantiate and checks the
-// product against the COO reference.
+// TestCompressedInstancesMultiplyCorrectly runs every served candidate
+// of a narrow matrix through Instantiate and checks the product against
+// the COO reference.
 func TestCompressedInstancesMultiplyCorrectly(t *testing.T) {
 	m := testmat.Blocky[float64](48, 48, 2, 2, 40, 25, 11)
 	x := floats.RandVector[float64](48, 2)
 	want := make([]float64, 48)
 	m.MulVec(x, want)
-	for _, c := range core.CandidatesCompressed(m.Cols()) {
+	for _, c := range core.CandidatesFor(m.Cols()) {
 		inst := core.Instantiate(m, c)
 		got := make([]float64, 48)
 		inst.Mul(x, got)

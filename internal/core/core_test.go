@@ -118,16 +118,20 @@ func TestStatsMatchConstructedInstances(t *testing.T) {
 	}
 }
 
-// TestEnumerateStatsAllMatchesStatsFor guards the caches EnumerateStatsAll
+// TestEnumerateStatsAllMatchesStatsFor guards the caches the enumeration
 // shares across candidates (block counts, partition pricings, SELL
-// layouts, the CSR-DU stream size): every entry must equal what StatsFor
-// computes for that candidate alone.
+// layouts, the CSR-DU stream size): every entry of EnumerateStatsAll
+// (narrow widths) and of EnumerateStats (4 bytes), at both precisions,
+// must equal what StatsFor computes for that candidate alone.
 func TestEnumerateStatsAllMatchesStatsFor(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		p := mat.PatternOf(m)
-		for _, cs := range core.EnumerateStatsAll(p, 8) {
-			if want := core.StatsFor(p, cs.Cand, 8); !reflect.DeepEqual(cs, want) {
-				t.Errorf("%s %s: enumerated %+v, StatsFor %+v", name, cs.Cand, cs, want)
+		for _, valSize := range []int{4, 8} {
+			stats := append(core.EnumerateStatsAll(p, valSize), core.EnumerateStats(p, valSize)...)
+			for _, cs := range stats {
+				if want := core.StatsFor(p, cs.Cand, valSize); !reflect.DeepEqual(cs, want) {
+					t.Errorf("%s %s valSize=%d: enumerated %+v, StatsFor %+v", name, cs.Cand, valSize, cs, want)
+				}
 			}
 		}
 	}

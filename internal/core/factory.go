@@ -20,9 +20,10 @@ import (
 
 // Instantiate constructs the storage format a candidate describes for the
 // given matrix. The experiment harness uses it to time the candidates the
-// models rank. Candidates with a narrow index width must match the width
-// the matrix admits (idx.FitsCols), which is how CandidatesCompressed
-// produces them; the compact constructors then select that same width.
+// models rank. It builds any candidate at the 4-byte width; a narrow index
+// width must match the width the matrix admits (idx.FitsCols), the one
+// CandidatesFor lists, and the compact constructors then select that
+// same width.
 func Instantiate[T floats.Float](m *mat.COO[T], c Candidate) formats.Instance[T] {
 	switch c.Method {
 	case CSRDU:

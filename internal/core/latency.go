@@ -38,11 +38,7 @@ func (OverlapLat) Predict(cs CandidateStats, m machine.Machine, prof *profile.Ta
 	if m.LoadLatencySeconds <= 0 || cs.IrregularAccesses == 0 {
 		return t
 	}
-	valSize := int64(0)
-	if cs.Cols > 0 {
-		valSize = cs.VectorBytes / int64(cs.Rows+cs.Cols)
-	}
-	xBytes := int64(cs.Cols) * valSize
+	xBytes := int64(cs.Cols) * int64(cs.valSize())
 	missFraction := 1.0
 	if m.LLCBytes > 0 && xBytes < m.LLCBytes {
 		missFraction = float64(xBytes) / float64(m.LLCBytes)

@@ -76,18 +76,29 @@ func unusableReason(model Model, m machine.Machine, prof *profile.Table) string 
 var baseline = Candidate{Method: CSR, Shape: blocks.RectShape(1, 1), Impl: blocks.Scalar}
 
 // fallback is the degraded prediction: the scalar CSR baseline, priced by
-// the streaming model when the bandwidth allows it.
+// the streaming model when the bandwidth allows it. The served space may
+// hold CSR only at a narrow width, so the baseline is priced from the
+// matrix-level fields of any entry.
 func fallback(stats []CandidateStats, m machine.Machine, reason string) Prediction {
 	p := Prediction{Cand: baseline, Degraded: true, Reason: reason}
-	if m.BandwidthBytesPerSec > 0 {
-		for _, cs := range stats {
-			if cs.Cand == baseline {
-				p.Seconds = Mem{}.Predict(cs, m, nil)
-				break
-			}
-		}
+	if m.BandwidthBytesPerSec > 0 && len(stats) > 0 {
+		p.Seconds = Mem{}.Predict(baselineStats(stats[0]), m, nil)
 	}
 	return p
+}
+
+// baselineStats prices the scalar CSR baseline on the matrix cs describes,
+// from its rows, nonzeros, vector bytes and panel width.
+func baselineStats(cs CandidateStats) CandidateStats {
+	return CandidateStats{
+		Cand: baseline, Rows: cs.Rows, Cols: cs.Cols, NNZ: cs.NNZ,
+		VectorBytes: cs.VectorBytes, RHS: cs.RHS, IrregularAccesses: cs.IrregularAccesses,
+		Components: []ComponentStats{{
+			Shape: baseline.Shape, Impl: baseline.Impl,
+			Blocks:  cs.NNZ,
+			WSBytes: csrBytes(cs.Rows, cs.NNZ, cs.valSize(), baseline.Width.Bytes()),
+		}},
+	}
 }
 
 // SelectSafe is Select with graceful degradation: when the machine or

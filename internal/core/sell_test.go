@@ -14,35 +14,39 @@ import (
 )
 
 func TestCandidatesSellEnumeration(t *testing.T) {
-	// Wide matrix: baseline width only.
-	wide := core.CandidatesSell(1 << 20)
-	if len(wide) != 12 { // 2 impls x 3 chunks x 2 sigmas
-		t.Fatalf("enumerated %d wide SELL candidates, want 12", len(wide))
-	}
-	for i, c := range wide[:6] {
-		if c.Impl != blocks.Scalar {
-			t.Fatalf("candidate %d (%v) is not scalar", i, c)
+	// 2 impls x 3 chunks x 2 sigmas, at the one width the columns fit.
+	for _, tc := range []struct {
+		cols  int
+		width idx.Width
+		want  []string
+	}{
+		{1 << 20, idx.W32, []string{"SELL-4-1", "SELL-8-n", "SELL-32-n/simd"}},
+		{5000, idx.W16, []string{"SELL-4-1/ix16", "SELL-32-n/ix16", "SELL-8-1/ix16/simd"}},
+	} {
+		cands := core.CandidatesSell(tc.cols)
+		if len(cands) != 12 {
+			t.Fatalf("%d cols: enumerated %d SELL candidates, want 12", tc.cols, len(cands))
 		}
-	}
-	// Narrow matrix: every candidate mirrored at the admitted width.
-	narrow := core.CandidatesSell(5000)
-	if len(narrow) != 24 {
-		t.Fatalf("enumerated %d narrow SELL candidates, want 24", len(narrow))
-	}
-	seen := make(map[string]bool)
-	for _, c := range narrow {
-		if c.Method != core.SELL {
-			t.Fatalf("non-SELL candidate %v", c)
+		for i, c := range cands[:6] {
+			if c.Impl != blocks.Scalar {
+				t.Fatalf("%d cols: candidate %d (%v) is not scalar", tc.cols, i, c)
+			}
 		}
-		s := c.String()
-		if seen[s] {
-			t.Errorf("duplicate candidate %s", s)
+		seen := make(map[string]bool)
+		for _, c := range cands {
+			if c.Method != core.SELL || c.Width != tc.width {
+				t.Fatalf("%d cols: candidate %v, want SELL at %v", tc.cols, c, tc.width)
+			}
+			s := c.String()
+			if seen[s] {
+				t.Errorf("duplicate candidate %s", s)
+			}
+			seen[s] = true
 		}
-		seen[s] = true
-	}
-	for _, want := range []string{"SELL-4-1", "SELL-8-n", "SELL-32-n/ix16", "SELL-8-1/ix16/simd"} {
-		if !seen[want] {
-			t.Errorf("expected candidate %s missing", want)
+		for _, want := range tc.want {
+			if !seen[want] {
+				t.Errorf("%d cols: expected candidate %s missing", tc.cols, want)
+			}
 		}
 	}
 }
@@ -50,10 +54,12 @@ func TestCandidatesSellEnumeration(t *testing.T) {
 // TestSellStatsMatchInstancesExactly mirrors the partitioned audit: the
 // construction-free SELL pricing is exact, so stats and built instances
 // must agree to the byte, and candidate names must match instance names.
+// Every served SELL candidate is audited at its own width and at the
+// 4-byte width a matrix wider than 65536 columns is served.
 func TestSellStatsMatchInstancesExactly(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		p := mat.PatternOf(m)
-		for _, c := range core.CandidatesSell(m.Cols()) {
+		for _, c := range append(core.CandidatesSell(m.Cols()), core.CandidatesSell(1<<20)...) {
 			cs := core.StatsFor(p, c, 8)
 			inst := core.Instantiate(m, c)
 			if inst.Name() != c.String() {
@@ -129,19 +135,18 @@ func TestSelectPicksSELLOnPowerLaw(t *testing.T) {
 	prof := sellProfile(0.4)
 
 	// σ-sorting must make the padding ratio small on the power-law
-	// degree distribution — the structural fact the win rests on.
-	var csrStats, sellStats core.CandidateStats
+	// degree distribution — the structural fact the win rests on. The
+	// baseline is the paper's 4-byte scalar CSR, which the served space
+	// lists only at the narrow width the columns fit.
+	csrStats := core.StatsFor(p, core.Candidate{Method: core.CSR, Shape: blocks.RectShape(1, 1), Impl: blocks.Scalar}, 8)
+	var sellStats core.CandidateStats
 	for _, cs := range stats {
-		switch {
-		case cs.Cand.Method == core.CSR && cs.Cand.Width == idx.W32 && cs.Cand.Impl == blocks.Scalar:
-			csrStats = cs
-		case cs.Cand.Method == core.SELL && cs.Cand.Chunk == 4 && cs.Cand.Sigma == 0 &&
-			cs.Cand.Width == idx.W32 && cs.Cand.Impl == blocks.Scalar:
+		if cs.Cand.Method == core.SELL && cs.Cand.Chunk == 4 && cs.Cand.Sigma == 0 && cs.Cand.Impl == blocks.Scalar {
 			sellStats = cs
 		}
 	}
-	if csrStats.NNZ == 0 || sellStats.NNZ == 0 {
-		t.Fatal("CSR or SELL-4-n candidate missing from EnumerateStatsAll")
+	if sellStats.NNZ == 0 {
+		t.Fatal("SELL-4-n candidate missing from EnumerateStatsAll")
 	}
 	if ratio := float64(sellStats.Padding) / float64(sellStats.NNZ); ratio > 0.10 {
 		t.Fatalf("SELL-4-n padding ratio %.3f on power-law, want < 0.10 after σ-sort", ratio)

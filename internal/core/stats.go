@@ -73,6 +73,15 @@ func WithRHS(stats []CandidateStats, k int) []CandidateStats {
 	return out
 }
 
+// valSize returns the element size in bytes, recovered from the vector
+// traffic; 0 for a matrix with no rows and no columns.
+func (cs CandidateStats) valSize() int {
+	if n := cs.Rows + cs.Cols; n > 0 {
+		return int(cs.VectorBytes / int64(n))
+	}
+	return 0
+}
+
 // MatrixBytes returns the summed matrix bytes of all components.
 func (cs CandidateStats) MatrixBytes() int64 {
 	var b int64
@@ -145,9 +154,9 @@ func partitionStats(p *mat.Pattern, c Candidate, valSize int) partition.Stats {
 }
 
 // partitionedStats assembles CandidateStats for a variable-block
-// candidate from a precomputed partition pricing, so EnumerateStatsAll
-// can share one partitioning pass between the scalar and simd
-// candidates. Like CSR, the component is the degenerate 1x1 shape; nb is
+// candidate from a precomputed partition pricing, so enumerate can share
+// one partitioning pass between the scalar and simd candidates. Like
+// CSR, the component is the degenerate 1x1 shape; nb is
 // the stored scalar count (the per-scalar normalization the profiling
 // layer uses for the vbr/vbl kernel variants) and the stored zero fill
 // of a DP partition is reported as Padding.
@@ -172,8 +181,8 @@ func partitionedStats(p *mat.Pattern, c Candidate, valSize int, st partition.Sta
 }
 
 // sellStats assembles CandidateStats for a SELL candidate from a
-// precomputed padded layout, so EnumerateStatsAll can share one σ-sort
-// pass per (C, σ) across implementations and index widths (the layout
+// precomputed padded layout, so enumerate can share one σ-sort pass
+// per (C, σ) across implementations and index widths (the layout
 // depends only on the pattern; widths scale only the index bytes). Like
 // the variable-block methods, the component is the degenerate 1x1 shape
 // with nb = stored scalars (the per-scalar normalization the profiling
@@ -196,8 +205,8 @@ func sellStats(p *mat.Pattern, c Candidate, valSize int, l sell.Layout, irregula
 }
 
 // duStats assembles CandidateStats for a CSR-DU candidate from a
-// precomputed encoded stream size, so EnumerateStatsAll can share one
-// StreamBytes pass between the scalar and simd candidates.
+// precomputed encoded stream size, so enumerate can share one StreamBytes
+// pass between the scalar and simd candidates.
 func duStats(p *mat.Pattern, c Candidate, valSize int, streamBytes, irregular int64) CandidateStats {
 	nnz := int64(p.NNZ())
 	return CandidateStats{
@@ -214,8 +223,8 @@ func duStats(p *mat.Pattern, c Candidate, valSize int, streamBytes, irregular in
 }
 
 // statsFromCount assembles CandidateStats from a precomputed block count,
-// letting EnumerateStats share one counting pass between a padded method
-// and its decomposition.
+// letting enumerate share one counting pass between a padded method and
+// its decomposition.
 func statsFromCount(p *mat.Pattern, c Candidate, valSize int, cnt blocks.Count, irregular int64) CandidateStats {
 	nnz := int64(p.NNZ())
 	cs := CandidateStats{
@@ -277,18 +286,10 @@ func shapeCounter(p *mat.Pattern) func(blocks.Shape) blocks.Count {
 	}
 }
 
-// EnumerateStats computes CandidateStats for the entire selection space of
-// Candidates(), sharing one block-counting pass per shape across the four
-// method/impl combinations that use it.
+// EnumerateStats computes CandidateStats for the paper's selection space,
+// Candidates().
 func EnumerateStats(p *mat.Pattern, valSize int) []CandidateStats {
-	shapeCount := shapeCounter(p)
-	irregular := p.IrregularAccesses(IrregularGap)
-	cands := Candidates()
-	out := make([]CandidateStats, len(cands))
-	for i, c := range cands {
-		out[i] = statsFromCount(p, c, valSize, shapeCount(c.Shape), irregular)
-	}
-	return out
+	return enumerate(p, valSize, Candidates())
 }
 
 // StatsOf enumerates the candidate statistics of a finalized matrix
@@ -304,26 +305,37 @@ func StatsOf[T floats.Float](m *mat.COO[T]) (stats []CandidateStats) {
 	return EnumerateStatsAll(mat.PatternOf(m), floats.SizeOf[T]())
 }
 
-// EnumerateStatsAll extends EnumerateStats with the compressed-index
-// candidates the matrix admits (CandidatesCompressed), the
-// variable-block candidates (CandidatesPartitioned) and the sorted
-// sliced ELLPACK candidates (CandidatesSell): the superset the facade
-// and the compression experiments rank, with the paper's baseline space
-// as a stable prefix. The CSR-DU stream is sized once and shared
-// between its scalar and simd candidates; block counts are shared with
-// the baseline enumeration; each variable-block partition and each
-// SELL (C, σ) layout is priced once and shared across implementations
-// and index widths.
+// EnumerateStatsAll computes CandidateStats for the space the facade,
+// Tune and the serving registry select over: CandidatesFor(p.Cols), less
+// each DP-partitioned candidate whose partition prices exactly like run
+// detection. Such a twin prices equal to the run-detection candidate
+// ahead of it under every model, so Select's strict order never picks it.
 func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
+	return enumerate(p, valSize, CandidatesFor(p.Cols))
+}
+
+// enumerate prices cands on p, in order, sharing what candidates have in
+// common: one block count per shape (a padded method, its decomposition
+// and both impls), one CSR-DU stream size, one partition pricing per
+// (method, partitioning) and one SELL layout per (C, σ), shared across
+// impls and index widths. A DP candidate whose partition.Stats equal
+// run detection's is dropped. Each entry equals StatsFor's.
+func enumerate(p *mat.Pattern, valSize int, cands []Candidate) []CandidateStats {
 	shapeCount := shapeCounter(p)
 	irregular := p.IrregularAccesses(IrregularGap)
 	streamBytes := int64(-1)
 	partStats := make(map[Candidate]partition.Stats)
+	partOf := func(c Candidate) partition.Stats {
+		key := Candidate{Method: c.Method, Part: c.Part}
+		st, ok := partStats[key]
+		if !ok {
+			st = partitionStats(p, c, valSize)
+			partStats[key] = st
+		}
+		return st
+	}
 	sellLayouts := make(map[[2]int]sell.Layout)
-	var out []CandidateStats
-	cands := append(Candidates(), CandidatesCompressed(p.Cols)...)
-	cands = append(cands, CandidatesPartitioned()...)
-	cands = append(cands, CandidatesSell(p.Cols)...)
+	out := make([]CandidateStats, 0, len(cands))
 	for _, c := range cands {
 		switch c.Method {
 		case CSRDU:
@@ -332,11 +344,9 @@ func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
 			}
 			out = append(out, duStats(p, c, valSize, streamBytes, irregular))
 		case VBR, VBL:
-			key := Candidate{Method: c.Method, Part: c.Part}
-			st, ok := partStats[key]
-			if !ok {
-				st = partitionStats(p, c, valSize)
-				partStats[key] = st
+			st := partOf(c)
+			if c.Part == PartDP && st == partOf(Candidate{Method: c.Method, Part: PartRuns}) {
+				continue
 			}
 			out = append(out, partitionedStats(p, c, valSize, st, irregular))
 		case SELL:
