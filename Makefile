@@ -88,8 +88,8 @@ fuzz:
 bench:
 	$(GO) test -bench 'MulVecWorkers|SolveCGWorkers' -benchmem \
 	    ./internal/parallel ./internal/solver
-	$(GO) test -run '^$$' -bench 'EnumerateStatsAll|ConstructBone010' -benchmem \
-	    ./internal/core ./internal/bcsr
+	$(GO) test -run '^$$' -bench 'EnumerateStatsAll|ConstructBone010|AggregateVBR' -benchmem \
+	    ./internal/core ./internal/bcsr ./internal/partition
 
 # bench-json regenerates the tracked machine-readable benchmark
 # artifacts: BENCH_compress.json (index-compression experiment: bytes/nnz,

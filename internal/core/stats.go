@@ -317,9 +317,10 @@ func EnumerateStatsAll(p *mat.Pattern, valSize int) []CandidateStats {
 // enumerate prices cands on p, in order, sharing what candidates have in
 // common: one block count per shape (a padded method, its decomposition
 // and both impls), one CSR-DU stream size, one partition pricing per
-// (method, partitioning) and one SELL layout per (C, σ), shared across
-// impls and index widths. A DP candidate whose partition.Stats equal
-// run detection's is dropped. Each entry equals StatsFor's.
+// (method, partitioning) — both VBR partitions from one
+// partition.PriceVBR pass — and one SELL layout per (C, σ), shared
+// across impls and index widths. A DP candidate whose partition.Stats
+// equal run detection's is dropped. Each entry equals StatsFor's.
 func enumerate(p *mat.Pattern, valSize int, cands []Candidate) []CandidateStats {
 	shapeCount := shapeCounter(p)
 	irregular := p.IrregularAccesses(IrregularGap)
@@ -327,12 +328,17 @@ func enumerate(p *mat.Pattern, valSize int, cands []Candidate) []CandidateStats 
 	partStats := make(map[Candidate]partition.Stats)
 	partOf := func(c Candidate) partition.Stats {
 		key := Candidate{Method: c.Method, Part: c.Part}
-		st, ok := partStats[key]
-		if !ok {
-			st = partitionStats(p, c, valSize)
-			partStats[key] = st
+		if st, ok := partStats[key]; ok {
+			return st
 		}
-		return st
+		if c.Method == VBR {
+			runs, dp := partition.PriceVBR(p, valSize)
+			partStats[Candidate{Method: VBR, Part: PartRuns}] = runs.Stats
+			partStats[Candidate{Method: VBR, Part: PartDP}] = dp.Stats
+		} else {
+			partStats[key] = partitionStats(p, c, valSize)
+		}
+		return partStats[key]
 	}
 	sellLayouts := make(map[[2]int]sell.Layout)
 	out := make([]CandidateStats, 0, len(cands))

@@ -45,7 +45,8 @@ func fuzzBounds(data []byte, n int) []int32 {
 // row/col pointer candidate arrays: Validate must catch every malformed
 // partition (VBRStats returns an error, never panics or miscounts), and
 // the DP aggregation must always emit monotone, in-range boundaries
-// whose priced footprint is never worse than the identity heuristic's.
+// whose priced footprint is never worse than the identity heuristic's,
+// and agree with the unpruned oracle (checkAgainstOracle).
 func FuzzVBRPartition(f *testing.F) {
 	f.Add([]byte{8, 8, 0xAB, 0xCD, 0xEF, 0x01}, []byte{2, 5}, []byte{3})
 	f.Add([]byte{1, 1, 0xFF}, []byte{}, []byte{})
@@ -86,6 +87,7 @@ func FuzzVBRPartition(f *testing.F) {
 			if dpBytes > idBytes {
 				t.Fatalf("valSize %d: DP priced %d bytes > identity %d", valSize, dpBytes, idBytes)
 			}
+			checkAgainstOracle(t, "fuzz", p, valSize)
 		}
 	})
 }

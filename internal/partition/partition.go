@@ -170,30 +170,22 @@ func VBRStats(p *mat.Pattern, pt VBRPartition, valSize int) (Stats, error) {
 	if err := pt.Validate(p.Rows, p.Cols); err != nil {
 		return Stats{}, err
 	}
+	return vbrStats(p, pt, valSize), nil
+}
+
+// vbrStats is VBRStats of a partition known to be valid.
+func vbrStats(p *mat.Pattern, pt VBRPartition, valSize int) Stats {
 	nbr := len(pt.Rpntr) - 1
 	nbc := len(pt.Cpntr) - 1
 	colBlock := colBlockOf(pt.Cpntr, p.Cols)
-	seen := make([]int32, nbc)
-	for i := range seen {
-		seen[i] = -1
-	}
+	seen := unmarked(nbc)
 	st := Stats{BlockRows: nbr, BlockCols: nbc}
 	for bi := 0; bi < nbr; bi++ {
 		var width, dist int64
 		for r := pt.Rpntr[bi]; r < pt.Rpntr[bi+1]; r++ {
-			prev := int32(-1)
-			for _, c := range p.RowCols(int(r)) {
-				bj := colBlock[c]
-				if bj == prev {
-					continue
-				}
-				prev = bj
-				if seen[bj] != int32(bi) {
-					seen[bj] = int32(bi)
-					dist++
-					width += int64(pt.Cpntr[bj+1] - pt.Cpntr[bj])
-				}
-			}
+			d, w := markBlocks(p.RowCols(int(r)), colBlock, pt.Cpntr, seen, int32(bi))
+			dist += d
+			width += w
 		}
 		h := int64(pt.Rpntr[bi+1] - pt.Rpntr[bi])
 		st.Stored += h * width
@@ -203,7 +195,36 @@ func VBRStats(p *mat.Pattern, pt VBRPartition, valSize int) (Stats, error) {
 		int64(nbr+1)*4 + int64(nbc+1)*4 + // rpntr, cpntr
 		int64(nbr+1)*4 + // browPtr
 		st.Blocks*4 + (st.Blocks+1)*4 // bcolInd, valPtr
-	return st, nil
+	return st
+}
+
+// unmarked returns n epoch markers, none set.
+func unmarked(n int) []int32 {
+	seen := make([]int32, n)
+	for i := range seen {
+		seen[i] = -1
+	}
+	return seen
+}
+
+// markBlocks adds the block columns a sorted column list touches to the
+// set whose members carry mark in seen, and returns how many it added and
+// their summed width.
+func markBlocks(cols, colBlock, cpntr, seen []int32, mark int32) (dist, width int64) {
+	prev := int32(-1)
+	for _, c := range cols {
+		bj := colBlock[c]
+		if bj == prev {
+			continue
+		}
+		prev = bj
+		if seen[bj] != mark {
+			seen[bj] = mark
+			dist++
+			width += int64(cpntr[bj+1] - cpntr[bj])
+		}
+	}
+	return dist, width
 }
 
 // VBRStreamBytes is VBRStats reduced to the byte objective.
@@ -212,47 +233,60 @@ func VBRStreamBytes(p *mat.Pattern, pt VBRPartition, valSize int) (int64, error)
 	return st.Bytes, err
 }
 
-// AggregateVBR runs the Ahrens & Boman aggregation: columns first (a
-// one-dimensional DP over identical-pattern column atoms with a
-// per-row-touch cost), then rows against the chosen column partition
-// (exact group costs), each minimizing the modeled stream bytes. The
-// result is guaranteed never worse than Identity(p): both the identity
-// partition and the row-DP against the identity columns are priced
-// exactly alongside the aggregated candidate, and the cheapest wins.
-func AggregateVBR(p *mat.Pattern, valSize int) VBRPartition {
-	id := Identity(p)
-	if p.Rows == 0 || p.Cols == 0 || p.NNZ() == 0 {
-		return id
-	}
-	t := Transpose(p)
-	cDP := aggregateCols(p, t, valSize)
-
-	candidates := []VBRPartition{
-		id,
-		{Rpntr: aggregateRows(p, id.Cpntr, valSize), Cpntr: id.Cpntr},
-		{Rpntr: aggregateRows(p, cDP, valSize), Cpntr: cDP},
-	}
-	best := candidates[0]
-	bestBytes := int64(-1)
-	for _, cand := range candidates {
-		b, err := VBRStreamBytes(p, cand, valSize)
-		if err != nil {
-			panic("partition: internal candidate failed validation: " + err.Error())
-		}
-		if bestBytes < 0 || b < bestBytes {
-			best, bestBytes = cand, b
-		}
-	}
-	return best
+// PricedVBR is a VBR partition with its exact price: Stats is what
+// VBRStats returns for Partition.
+type PricedVBR struct {
+	Partition VBRPartition
+	Stats     Stats
 }
 
-// atoms returns the identical-pattern row-group boundaries of p plus, for
-// the DP, a guarantee that each boundary interval is non-empty.
-func atoms(p *mat.Pattern) []int32 { return boundsByPattern(p) }
+// PriceVBR prices both VBR partitions of p in one pass: the run-detection
+// partition Identity(p) and the aggregated partition AggregateVBR
+// returns. It transposes p once and finds the row and column atoms once;
+// they are the identity partition, whose price is the baseline the
+// aggregation must beat. Aggregation then follows Ahrens & Boman: the row
+// DP against the identity columns and, only when the column DP moves a
+// boundary, the row DP against the aggregated columns. A candidate equal
+// to one already priced is not priced again, and the cheapest candidate
+// wins, the earlier on a tie (identity, rows only, rows×columns), so the
+// aggregated partition never prices worse than the identity.
+func PriceVBR(p *mat.Pattern, valSize int) (identity, aggregate PricedVBR) {
+	t := Transpose(p)
+	id := VBRPartition{Rpntr: boundsByPattern(p), Cpntr: boundsByPattern(t)}
+	identity = PricedVBR{Partition: id, Stats: vbrStats(p, id, valSize)}
+	if p.Rows == 0 || p.Cols == 0 || p.NNZ() == 0 {
+		return identity, identity
+	}
+	aggregate = identity
+	consider := func(pt VBRPartition) {
+		if st := vbrStats(p, pt, valSize); st.Bytes < aggregate.Stats.Bytes {
+			aggregate = PricedVBR{Partition: pt, Stats: st}
+		}
+	}
+	if rows := aggregateRows(p, id.Rpntr, id.Cpntr, valSize); !equalInt32(rows, id.Rpntr) {
+		consider(VBRPartition{Rpntr: rows, Cpntr: id.Cpntr})
+	}
+	if cols := aggregateCols(t, id.Cpntr, valSize); !equalInt32(cols, id.Cpntr) {
+		consider(VBRPartition{Rpntr: aggregateRows(p, id.Rpntr, cols, valSize), Cpntr: cols})
+	}
+	return identity, aggregate
+}
 
-// aggregateRows runs the forward DP over identical-pattern row atoms for
-// a fixed column partition. The cost of a block row grouping atoms
-// [a..b) is exact:
+// AggregateVBR returns the Ahrens & Boman aggregation of PriceVBR:
+// columns first (a one-dimensional DP over identical-pattern column
+// atoms with a per-row-touch cost), then rows against the chosen column
+// partition (exact group costs), each minimizing the modeled stream
+// bytes. The result is never worse than Identity(p): the identity
+// partition and the row DP against the identity columns are priced
+// exactly alongside the aggregated candidate, and the cheapest wins.
+func AggregateVBR(p *mat.Pattern, valSize int) VBRPartition {
+	_, aggregate := PriceVBR(p, valSize)
+	return aggregate.Partition
+}
+
+// aggregateRows runs the forward DP over the identical-pattern row atoms
+// at (the identity row boundaries) for a fixed column partition. The
+// cost of a block row grouping atoms [a..b) is exact:
 //
 //	h * W * valSize  +  D * (bcolInd + valPtr)  +  (rpntr + browPtr)
 //
@@ -263,19 +297,31 @@ func atoms(p *mat.Pattern) []int32 { return boundsByPattern(p) }
 // the exact footprint over all partitions refining the atom boundaries;
 // the identity partition (every atom its own block row) is in that space,
 // so the result is never worse than the heuristic for this cpntr.
-func aggregateRows(p *mat.Pattern, cpntr []int32, valSize int) []int32 {
-	at := atoms(p)
+//
+// A start a stops extending once it can be no later end's parent. W and D
+// only grow with the end, so every end e left in the window costs at
+// least h(a,e)·W·valSize + 8·D + 8 from a. The atoms from a to e as
+// singleton block rows cost single[e] − single[a], which bounds the final
+// opt[e] − opt[a]; once the lower bound exceeds that for every such e,
+// start a prices above each end's optimum. The strict < of the relaxation
+// keeps the earliest minimal start, which a start above the optimum never
+// is, so the partition is the one the unpruned DP returns.
+func aggregateRows(p *mat.Pattern, at, cpntr []int32, valSize int) []int32 {
 	n := len(at) - 1 // number of atoms
 	if n <= 1 {
 		return at
 	}
-	nbc := len(cpntr) - 1
 	colBlock := colBlockOf(cpntr, p.Cols)
-	seen := make([]int32, nbc)
-	for i := range seen {
-		seen[i] = -1
+	vs := int64(valSize)
+	// single[i] is the cost of atoms [0, i) as singleton block rows.
+	seen := unmarked(len(cpntr) - 1)
+	single := make([]int64, n+1)
+	for i := 0; i < n; i++ {
+		dist, width := markBlocks(p.RowCols(int(at[i])), colBlock, cpntr, seen, int32(i))
+		single[i+1] = single[i] + int64(at[i+1]-at[i])*width*vs + dist*vbrBlockBytes + vbrBlockRowBytes
 	}
 
+	seen = unmarked(len(cpntr) - 1)
 	const inf = int64(1) << 62
 	opt := make([]int64, n+1)
 	parent := make([]int32, n+1)
@@ -283,60 +329,53 @@ func aggregateRows(p *mat.Pattern, cpntr []int32, valSize int) []int32 {
 		opt[i] = inf
 	}
 	for a := 0; a < n; a++ {
-		if opt[a] == inf {
-			continue
-		}
 		var width, dist int64
 		limit := min(a+MaxMerge, n)
 		for b := a + 1; b <= limit; b++ {
 			// Extend the running block-column union with atom b-1's
 			// pattern (all rows of an atom share it; the first suffices).
-			prev := int32(-1)
-			for _, c := range p.RowCols(int(at[b-1])) {
-				bj := colBlock[c]
-				if bj == prev {
-					continue
-				}
-				prev = bj
-				if seen[bj] != int32(a) {
-					seen[bj] = int32(a)
-					dist++
-					width += int64(cpntr[bj+1] - cpntr[bj])
-				}
-			}
-			h := int64(at[b] - at[a])
-			cost := opt[a] + h*width*int64(valSize) + dist*vbrBlockBytes + vbrBlockRowBytes
-			if cost < opt[b] {
+			d, w := markBlocks(p.RowCols(int(at[b-1])), colBlock, cpntr, seen, int32(a))
+			dist += d
+			width += w
+			fixed := dist*vbrBlockBytes + vbrBlockRowBytes
+			if cost := opt[a] + int64(at[b]-at[a])*width*vs + fixed; cost < opt[b] {
 				opt[b] = cost
 				parent[b] = int32(a)
 			}
+			if aboveSingletons(at, single, a, b, limit, width*vs, fixed) {
+				break
+			}
 		}
-		// Reset the epoch marker namespace for the next start: the marker
-		// is the start index a, unique per iteration, so nothing to clear.
 	}
 	return reconstruct(at, parent, n)
 }
 
-// aggregateCols runs the same DP over identical-pattern column atoms of
-// the transpose t. Without a fixed row partition the exact block count is
-// unknown, so the cost charges each (row, block column) incidence as one
-// block — the unit-row-partition upper bound:
+// aggregateCols runs the same DP over the identical-pattern column atoms
+// at of the transpose t. Without a fixed row partition the exact block
+// count is unknown, so the cost charges each (row, block column)
+// incidence as one block — the unit-row-partition upper bound:
 //
 //	T * (w * valSize + bcolInd + valPtr)  +  cpntr
 //
 // where T is the number of distinct rows touching the group and w its
-// width. The final exact pricing in AggregateVBR keeps this phase honest.
-func aggregateCols(p, t *mat.Pattern, valSize int) []int32 {
-	at := atoms(t)
+// width. The final exact pricing in PriceVBR keeps this phase honest. A
+// start stops early as in aggregateRows: T only grows with the end, so
+// every end e left costs at least T·(w(a,e)·valSize + 8) + 4.
+func aggregateCols(t *mat.Pattern, at []int32, valSize int) []int32 {
 	n := len(at) - 1
 	if n <= 1 {
 		return at
 	}
-	seen := make([]int32, p.Rows)
-	for i := range seen {
-		seen[i] = -1
+	vs := int64(valSize)
+	// single[i] is the cost of atoms [0, i) as singleton block columns;
+	// an atom's pattern lists each row touching it once.
+	single := make([]int64, n+1)
+	for i := 0; i < n; i++ {
+		touch := int64(len(t.RowCols(int(at[i]))))
+		single[i+1] = single[i] + touch*(int64(at[i+1]-at[i])*vs+vbrBlockBytes) + vbrBlockColBytes
 	}
 
+	seen := unmarked(t.Cols)
 	const inf = int64(1) << 62
 	opt := make([]int64, n+1)
 	parent := make([]int32, n+1)
@@ -344,9 +383,6 @@ func aggregateCols(p, t *mat.Pattern, valSize int) []int32 {
 		opt[i] = inf
 	}
 	for a := 0; a < n; a++ {
-		if opt[a] == inf {
-			continue
-		}
 		var touch int64
 		limit := min(a+MaxMerge, n)
 		for b := a + 1; b <= limit; b++ {
@@ -356,15 +392,30 @@ func aggregateCols(p, t *mat.Pattern, valSize int) []int32 {
 					touch++
 				}
 			}
-			w := int64(at[b] - at[a])
-			cost := opt[a] + touch*(w*int64(valSize)+vbrBlockBytes) + vbrBlockColBytes
-			if cost < opt[b] {
+			fixed := touch*vbrBlockBytes + vbrBlockColBytes
+			if cost := opt[a] + touch*int64(at[b]-at[a])*vs + fixed; cost < opt[b] {
 				opt[b] = cost
 				parent[b] = int32(a)
+			}
+			if aboveSingletons(at, single, a, b, limit, touch*vs, fixed) {
+				break
 			}
 		}
 	}
 	return reconstruct(at, parent, n)
+}
+
+// aboveSingletons reports whether DP start a, extended to end b, can be
+// the parent of no end in (b, limit]: for each such e the lower bound
+// slope*(at[e]-at[a]) + fixed on its group cost exceeds single[e] -
+// single[a], the cost of the atoms from a to e as singleton groups.
+func aboveSingletons(at []int32, single []int64, a, b, limit int, slope, fixed int64) bool {
+	for e := b + 1; e <= limit; e++ {
+		if slope*int64(at[e]-at[a])+fixed <= single[e]-single[a] {
+			return false
+		}
+	}
+	return true
 }
 
 // reconstruct walks the DP parent chain from atom n back to 0 and returns

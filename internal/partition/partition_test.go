@@ -3,12 +3,14 @@ package partition_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
 	"blockspmv/internal/mat"
 	"blockspmv/internal/partition"
+	"blockspmv/internal/suite"
 	"blockspmv/internal/testmat"
 	"blockspmv/internal/vbl"
 	"blockspmv/internal/vbr"
@@ -28,6 +30,27 @@ func corpus[T floats.Float]() map[string]*mat.COO[T] {
 	zc.Finalize()
 	ms["zerocols"] = zc
 	ms["shared"] = SharedSparsity[T](40, 200, 5, 6, 0.05, 42)
+	// Runs one column apart: at 4-byte values the VBL DP merges across
+	// every gap, at 8-byte values it keeps the runs.
+	gaps := mat.New[T](4, 24)
+	for r := int32(0); r < 4; r++ {
+		for c := r % 2; c < 24; c += 2 {
+			gaps.Add(r, c, T(r+c+1))
+		}
+	}
+	gaps.Finalize()
+	ms["gaps"] = gaps
+	return ms
+}
+
+// dpCorpus is corpus plus the random and blocky matrices the DP property
+// tests run on.
+func dpCorpus[T floats.Float]() map[string]*mat.COO[T] {
+	ms := corpus[T]()
+	for seed := int64(100); seed < 110; seed++ {
+		ms[fmt.Sprintf("rand%d", seed)] = testmat.Random[T](31, 47, 0.07, seed)
+		ms[fmt.Sprintf("blocky%d", seed)] = testmat.Blocky[T](48, 48, 3, 3, 20, 15, seed)
+	}
 	return ms
 }
 
@@ -138,12 +161,21 @@ func testVBLStatsMatch[T floats.Float](t *testing.T) {
 	valSize := floats.SizeOf[T]()
 	for name, m := range corpus[T]() {
 		p := mat.PatternOf(m)
+		runs, dpInst := vbl.New(m, blocks.Scalar), vbl.NewDP(m, blocks.Scalar)
+		if valSize == 8 {
+			// The DP never merges at 8-byte values, so it is skipped: the
+			// price and the arrays must be run detection's.
+			if dp, want := partition.VBLStats(p, 8, true), partition.VBLStats(p, 8, false); dp != want {
+				t.Errorf("%s: DP priced %+v, runs %+v", name, dp, want)
+			}
+			if err := sameArrays(dpInst, runs, "dp"); err != nil {
+				t.Errorf("%s: NewDP and New differ: %v", name, err)
+			}
+		}
 		for _, dp := range []bool{false, true} {
-			var inst *vbl.Matrix[T]
+			inst := runs
 			if dp {
-				inst = vbl.NewDP(m, blocks.Scalar)
-			} else {
-				inst = vbl.New(m, blocks.Scalar)
+				inst = dpInst
 			}
 			st := partition.VBLStats(p, valSize, dp)
 			if st.Bytes != inst.MatrixBytes() {
@@ -159,10 +191,27 @@ func testVBLStatsMatch[T floats.Float](t *testing.T) {
 	}
 }
 
+// sameArrays reports how two built instances differ, comparing every
+// field but skip; nil when they hold the same arrays.
+func sameArrays(a, b any, skip string) error {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i).Name
+		if f == skip {
+			continue
+		}
+		if x, y := fmt.Sprint(va.Field(i)), fmt.Sprint(vb.Field(i)); x != y {
+			return fmt.Errorf("field %s: %s != %s", f, x, y)
+		}
+	}
+	return nil
+}
+
 // TestDPNeverWorse is the satellite property test: the DP partition's
 // priced stream bytes are never worse than the run-detection heuristic's,
 // for VBR and VBL, at both element sizes, over the archetype corpus plus
-// randomized matrices.
+// randomized matrices. The VBL DP prices exactly like the runs at 8-byte
+// values and still merges the one-column gaps of "gaps" at 4-byte ones.
 func TestDPNeverWorse(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { testDPNeverWorse[float64](t) })
 	t.Run("float32", func(t *testing.T) { testDPNeverWorse[float32](t) })
@@ -170,12 +219,7 @@ func TestDPNeverWorse(t *testing.T) {
 
 func testDPNeverWorse[T floats.Float](t *testing.T) {
 	valSize := floats.SizeOf[T]()
-	ms := corpus[T]()
-	for seed := int64(100); seed < 110; seed++ {
-		ms[fmt.Sprintf("rand%d", seed)] = testmat.Random[T](31, 47, 0.07, seed)
-		ms[fmt.Sprintf("blocky%d", seed)] = testmat.Blocky[T](48, 48, 3, 3, 20, 15, seed)
-	}
-	for name, m := range ms {
+	for name, m := range dpCorpus[T]() {
 		p := mat.PatternOf(m)
 		idBytes, err := partition.VBRStreamBytes(p, partition.Identity(p), valSize)
 		if err != nil {
@@ -192,6 +236,28 @@ func testDPNeverWorse[T floats.Float](t *testing.T) {
 		dp := partition.VBLStats(p, valSize, true)
 		if dp.Bytes > runs.Bytes {
 			t.Errorf("%s: VBL DP priced %d bytes > runs %d", name, dp.Bytes, runs.Bytes)
+		}
+		if valSize == 8 && dp != runs {
+			t.Errorf("%s: VBL DP priced %+v at 8-byte values, runs %+v", name, dp, runs)
+		}
+		if valSize == 4 && name == "gaps" && dp.Bytes >= runs.Bytes {
+			t.Errorf("%s: VBL DP priced %d bytes at 4-byte values, runs %d: no gap merged", name, dp.Bytes, runs.Bytes)
+		}
+	}
+}
+
+// TestAggregateMatchesOracle checks the shared, pruned VBR pass against
+// the unpruned oracle kept in oracle_test.go: the same aggregated
+// partition, and Stats equal to VBRStats of the identity and the oracle
+// partitions, at both value sizes.
+func TestAggregateMatchesOracle(t *testing.T) {
+	ms := dpCorpus[float64]()
+	ms["shared60"] = SharedSparsity[float64](60, 300, 6, 8, 0.04, 7)
+	ms["powerlaw2000"] = suite.PowerLaw[float64](2000, 8, 1.8, 1)
+	for name, m := range ms {
+		p := mat.PatternOf(m)
+		for _, valSize := range []int{4, 8} {
+			partition.CheckAgainstOracle(t, name, p, valSize)
 		}
 	}
 }

@@ -20,7 +20,9 @@ const vblBlockBytes = 5
 // bytes against vblBlockBytes of saved indices — profitable only for
 // small scalars (float32, g = 1). The dynamic program runs over the
 // maximal runs (pre-split at VBLMaxSpan), which include the run-detection
-// solution, so the result is never worse than the heuristic.
+// solution, so the result is never worse than the heuristic. When
+// valSize > vblBlockBytes every merge costs more than it saves (g ≥ 1),
+// so the runs are the unique optimum: they are yielded without the DP.
 func VBLRowBlocks(cols []int32, valSize int, yield func(start int32, span int32)) {
 	if len(cols) == 0 {
 		return
@@ -38,6 +40,12 @@ func VBLRowBlocks(cols []int32, valSize int, yield func(start int32, span int32)
 			ats = append(ats, atom{s: cols[off], e: cols[off] + int32(n)})
 		}
 		i = j
+	}
+	if valSize > vblBlockBytes {
+		for _, a := range ats {
+			yield(a.s, a.e-a.s)
+		}
+		return
 	}
 	n := len(ats)
 	const inf = int64(1) << 62
@@ -78,8 +86,11 @@ func VBLRowBlocks(cols []int32, valSize int, yield func(start int32, span int32)
 // the per-row DP of VBLRowBlocks. Bytes covers every array of the built
 // instance — val, the two (rows+1)-entry 4-byte pointer arrays (rowPtr
 // and the rowBlk seed index) and vblBlockBytes per block — matching
-// vbl.Matrix.MatrixBytes exactly.
+// vbl.Matrix.MatrixBytes exactly. When valSize > vblBlockBytes the DP
+// returns the runs (see VBLRowBlocks), so dp = true prices them without
+// running it.
 func VBLStats(p *mat.Pattern, valSize int, dp bool) Stats {
+	dp = dp && valSize <= vblBlockBytes
 	var st Stats
 	for r := 0; r < p.Rows; r++ {
 		cols := p.RowCols(r)

@@ -29,7 +29,6 @@ package sell
 
 import (
 	"fmt"
-	"sort"
 
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/floats"
@@ -144,29 +143,56 @@ func NewIx[T floats.Float, I idx.Index](m *mat.COO[T], chunk, sigma int, impl bl
 // scopePerm builds the σ-sort permutation: a stable descending-length
 // sort of the row indices inside each sorting scope. The scope is sigma
 // rounded up to a multiple of chunk (so slices never cross scopes);
-// sigma <= 1 keeps the identity order with a one-slice scope.
+// sigma <= 1 keeps the identity order with a one-slice scope. Each scope
+// is ordered by a counting sort on the row length (appendByLength), in
+// O(scope + its longest row): a stable sort by one integer key is
+// unique, so this is the permutation a stable comparison sort gives.
 func scopePerm(lens []int, chunk, sigma int) (reorder.Permutation, int) {
 	rows := len(lens)
-	perm := make(reorder.Permutation, rows)
-	for i := range perm {
-		perm[i] = int32(i)
+	s := sigma
+	if s <= 0 || s > rows {
+		s = rows
 	}
-	scope := chunk
-	if sigma != 1 {
-		s := sigma
-		if s <= 0 || s > rows {
-			s = rows
+	if sigma == 1 || s <= 1 {
+		perm := make(reorder.Permutation, rows)
+		for i := range perm {
+			perm[i] = int32(i)
 		}
-		if s > 1 {
-			scope = (s + chunk - 1) / chunk * chunk
-			for w0 := 0; w0 < rows; w0 += scope {
-				w1 := min(w0+scope, rows)
-				win := perm[w0:w1]
-				sort.SliceStable(win, func(a, b int) bool { return lens[win[a]] > lens[win[b]] })
-			}
-		}
+		return perm, chunk
+	}
+	scope := (s + chunk - 1) / chunk * chunk
+	perm := make(reorder.Permutation, 0, rows)
+	for r0 := 0; r0 < rows; r0 += scope {
+		perm = appendByLength(perm, lens, r0, min(r0+scope, rows))
 	}
 	return perm, scope
+}
+
+// appendByLength appends the rows [r0, r1) to perm by descending length,
+// equal lengths in index order: a stable counting sort keyed by
+// maxLen - length.
+func appendByLength(perm reorder.Permutation, lens []int, r0, r1 int) reorder.Permutation {
+	maxLen := 0
+	for _, l := range lens[r0:r1] {
+		maxLen = max(maxLen, l)
+	}
+	// next[k] is the next free position for key k: after the prefix
+	// sum, the count of rows with a smaller key.
+	next := make([]int, maxLen+2)
+	for _, l := range lens[r0:r1] {
+		next[maxLen-l+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	base := len(perm)
+	perm = perm[:base+r1-r0]
+	for r := r0; r < r1; r++ {
+		k := maxLen - lens[r]
+		perm[base+next[k]] = int32(r)
+		next[k]++
+	}
+	return perm
 }
 
 // resolveKernels binds the generated slice kernels for the chunk height
@@ -379,7 +405,9 @@ type Layout struct {
 }
 
 // LayoutOf computes the padded layout a NewIx build with the same chunk
-// and sigma would produce, from the pattern alone.
+// and sigma would produce, from the pattern alone, through the same
+// scopePerm: a whole-matrix scope (σ=n) costs one counting sort over the
+// row lengths.
 func LayoutOf(p *mat.Pattern, chunk, sigma int) Layout {
 	lens := make([]int, p.Rows)
 	for r := 0; r < p.Rows; r++ {
