@@ -328,6 +328,9 @@ func enumerate(p *mat.Pattern, valSize int, cands []Candidate) []CandidateStats 
 	partStats := make(map[Candidate]partition.Stats)
 	partOf := func(c Candidate) partition.Stats {
 		key := Candidate{Method: c.Method, Part: c.Part}
+		if c.Method == VBL && !partition.VBLMerges(valSize) {
+			key.Part = PartRuns // the 1D-VBL DP would return the runs
+		}
 		if st, ok := partStats[key]; ok {
 			return st
 		}
@@ -363,6 +366,9 @@ func enumerate(p *mat.Pattern, valSize int, cands []Candidate) []CandidateStats 
 				sellLayouts[key] = l
 			}
 			out = append(out, sellStats(p, c, valSize, l, irregular))
+		case CSR:
+			// A CSR candidate is priced from nnz alone; its 1x1 count is never read.
+			out = append(out, statsFromCount(p, c, valSize, blocks.Count{}, irregular))
 		default:
 			out = append(out, statsFromCount(p, c, valSize, shapeCount(c.Shape), irregular))
 		}

@@ -12,6 +12,11 @@ const VBLMaxSpan = 255
 // 4-byte starting column plus a 1-byte size.
 const vblBlockBytes = 5
 
+// VBLMerges reports whether the 1D-VBL DP can merge runs at this scalar
+// size: only when a one-column gap's fill costs no more than the block
+// header it saves. Otherwise the DP's blocks are the runs.
+func VBLMerges(valSize int) bool { return valSize <= vblBlockBytes }
+
 // VBLRowBlocks partitions one row's sorted column list into 1D-VBL blocks
 // minimizing the row's stream bytes, and yields each block in column
 // order as (start, span). A block spanning [start, start+span) stores
@@ -41,7 +46,7 @@ func VBLRowBlocks(cols []int32, valSize int, yield func(start int32, span int32)
 		}
 		i = j
 	}
-	if valSize > vblBlockBytes {
+	if !VBLMerges(valSize) {
 		for _, a := range ats {
 			yield(a.s, a.e-a.s)
 		}
@@ -90,7 +95,7 @@ func VBLRowBlocks(cols []int32, valSize int, yield func(start int32, span int32)
 // returns the runs (see VBLRowBlocks), so dp = true prices them without
 // running it.
 func VBLStats(p *mat.Pattern, valSize int, dp bool) Stats {
-	dp = dp && valSize <= vblBlockBytes
+	dp = dp && VBLMerges(valSize)
 	var st Stats
 	for r := 0; r < p.Rows; r++ {
 		cols := p.RowCols(r)
