@@ -282,6 +282,23 @@ func checkAgainstOracle(t *testing.T, name string, p *mat.Pattern) {
 	}
 }
 
+// TestDivisor checks the multiply-shift division of rect against integer
+// division for every block width, on the smallest and largest column
+// indices, where the error of the multiplier is smallest and largest.
+func TestDivisor(t *testing.T) {
+	const edge = 1 << 16
+	for c := 1; c <= MaxBlockElems; c++ {
+		m, shift := divisor(c)
+		for _, lo := range []int64{0, 1<<31 - edge} {
+			for col := lo; col < lo+edge; col++ {
+				if got := uint64(col) * m >> shift; got != uint64(col)/uint64(c) {
+					t.Fatalf("c=%d: col %d maps to block column %d, want %d", c, col, got, col/int64(c))
+				}
+			}
+		}
+	}
+}
+
 func TestCountMatchesOracle(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		checkAgainstOracle(t, name, mat.PatternOf(m))
