@@ -90,7 +90,7 @@ bench:
 	    ./internal/parallel ./internal/solver
 	$(GO) test -run '^$$' -bench 'EnumerateStatsAll|ConstructBone010|AggregateVBR' -benchmem \
 	    ./internal/core ./internal/bcsr ./internal/partition
-	$(GO) test -run '^$$' -bench 'Kernels' -benchmem ./internal/vbl
+	$(GO) test -run '^$$' -bench 'Kernels|Construct' -benchmem ./internal/vbl
 
 # bench-json regenerates the tracked machine-readable benchmark
 # artifacts: BENCH_compress.json (index-compression experiment: bytes/nnz,

@@ -361,31 +361,6 @@ func BenchmarkAblationAlignment(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationVBLIndex compares 1D-VBL's 1-byte block sizes against
-// a 4-byte variant (DESIGN.md ablation 3): the paper's choice saves 3
-// bytes per block at the cost of splitting runs longer than 255.
-func BenchmarkAblationVBLIndex(b *testing.B) {
-	m := suite.MustBuild[float64](19, suite.Tiny) // long dense rows
-	x := floats.RandVector[float64](m.Cols(), 5)
-	y := make([]float64, m.Rows())
-	narrow := vbl.New(m, blocks.Scalar)
-	wide := vbl.NewWide(m, blocks.Scalar)
-	b.Run("1byte", func(b *testing.B) {
-		b.SetBytes(narrow.MatrixBytes())
-		for i := 0; i < b.N; i++ {
-			narrow.Mul(x, y)
-		}
-		b.ReportMetric(float64(narrow.Blocks()), "blocks")
-	})
-	b.Run("4byte", func(b *testing.B) {
-		b.SetBytes(wide.MatrixBytes())
-		for i := 0; i < b.N; i++ {
-			wide.Mul(x, y)
-		}
-		b.ReportMetric(float64(wide.Blocks()), "blocks")
-	})
-}
-
 // BenchmarkAblationDispatch compares the generated unrolled kernels
 // against the generic loop-based kernel (DESIGN.md ablation 4): the cost
 // of not specialising per shape.

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"blockspmv"
+	"blockspmv/internal/testmat"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func main() {
 		fatal(fmt.Errorf("-rhs batched probe supports -solver cg or jacobi, not %q", *solverName))
 	}
 
-	m := laplacianBlocks(*side, *dof)
+	m := testmat.Laplacian[float64](*side, *dof)
 	n := m.Rows()
 
 	var format blockspmv.Format[float64]
@@ -364,45 +365,6 @@ func axpy(alpha float64, x, y []float64) {
 }
 
 func sqrt(v float64) float64 { return math.Sqrt(v) }
-
-// laplacianBlocks builds a block 5-point Laplacian: each grid point
-// carries dof unknowns coupled within the point, so every stencil entry
-// becomes a dense dof x dof block (same construction as examples/solver).
-func laplacianBlocks(side, dof int) *blockspmv.Matrix[float64] {
-	n := side * side * dof
-	m := blockspmv.NewMatrix[float64](n, n)
-	addBlock := func(p, q int, scale float64) {
-		for i := 0; i < dof; i++ {
-			for j := 0; j < dof; j++ {
-				v := scale
-				if i != j {
-					v *= 0.1
-				}
-				m.Add(int32(p*dof+i), int32(q*dof+j), v)
-			}
-		}
-	}
-	for j := 0; j < side; j++ {
-		for i := 0; i < side; i++ {
-			p := j*side + i
-			addBlock(p, p, 4)
-			if i > 0 {
-				addBlock(p, p-1, -1)
-			}
-			if i < side-1 {
-				addBlock(p, p+1, -1)
-			}
-			if j > 0 {
-				addBlock(p, p-side, -1)
-			}
-			if j < side-1 {
-				addBlock(p, p+side, -1)
-			}
-		}
-	}
-	m.Finalize()
-	return m
-}
 
 func parseInts(csv string) ([]int, error) {
 	if strings.TrimSpace(csv) == "" {

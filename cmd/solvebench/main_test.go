@@ -1,11 +1,17 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"blockspmv/internal/testmat"
+)
+
+// TestLaplacianBlocks checks the system solvebench solves: the block
+// Laplacian of testmat.
 func TestLaplacianBlocks(t *testing.T) {
-	m := laplacianBlocks(4, 2)
+	m := testmat.Laplacian[float64](4, 2)
 	if m.Rows() != 32 || m.Cols() != 32 {
-		t.Fatalf("laplacianBlocks(4,2) is %dx%d, want 32x32", m.Rows(), m.Cols())
+		t.Fatalf("testmat.Laplacian(4,2) is %dx%d, want 32x32", m.Rows(), m.Cols())
 	}
 	// 5-point stencil on a 4x4 grid has 16 diagonal + 48 off-diagonal
 	// stencil entries, each a dense 2x2 block.

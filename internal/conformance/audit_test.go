@@ -94,7 +94,6 @@ func TestMatrixBytesMatchesAllocation(t *testing.T) {
 			bcsd.NewDecomposed(m, 8, blocks.Scalar),
 			bcsd.NewDecomposedCompact(m, 8, blocks.Scalar),
 			vbl.New(m, blocks.Scalar),
-			vbl.NewWide(m, blocks.Scalar),
 			vbl.NewDP(m, blocks.Scalar),
 			vbr.New(m, blocks.Scalar),
 			vbr.NewDP(m, blocks.Scalar),

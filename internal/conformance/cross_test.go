@@ -54,7 +54,6 @@ func TestAllFormatsAgreeQuick(t *testing.T) {
 			bcsd.New(m, 8, blocks.Vector),
 			bcsd.NewDecomposed(m, 4, blocks.Scalar),
 			vbl.New(m, blocks.Scalar),
-			vbl.NewWide(m, blocks.Scalar),
 			vbl.NewDP(m, blocks.Scalar),
 			vbr.New(m, blocks.Scalar),
 			vbr.NewDP(m, blocks.Scalar),

@@ -43,7 +43,6 @@ func panelInstances(m *mat.COO[float64]) []formats.Instance[float64] {
 		bcsd.NewDecomposed(m, 4, blocks.Scalar),
 		bcsd.NewCompact(m, 4, blocks.Scalar),
 		vbl.New(m, blocks.Scalar),
-		vbl.NewWide(m, blocks.Scalar),
 		vbl.NewDP(m, blocks.Scalar),
 		vbr.New(m, blocks.Scalar),
 		vbr.NewDP(m, blocks.Scalar),

@@ -114,7 +114,9 @@ func FuzzVBLRowBlocks(f *testing.F) {
 		var got []int32
 		var prevEnd int32 = -1
 		var bytes int64
-		VBLRowBlocks(cols, valSize, func(start, span int32) {
+		bcol, bsize := VBLRowBlocks(nil, nil, cols, valSize)
+		for k, start := range bcol {
+			span := int32(bsize[k])
 			if span <= 0 || span > VBLMaxSpan {
 				t.Fatalf("block span %d out of range", span)
 			}
@@ -126,7 +128,7 @@ func FuzzVBLRowBlocks(f *testing.F) {
 				got = append(got, i)
 			}
 			bytes += int64(span)*int64(valSize) + 5
-		})
+		}
 		// Every input column must be covered.
 		gi := 0
 		for _, want := range cols {

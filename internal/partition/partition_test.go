@@ -296,8 +296,8 @@ func TestDPMulMatchesHeuristic(t *testing.T) {
 	}
 }
 
-// TestVBLMaxSpanMatchesFormat pins the duplicated constant: the partition
-// package may not import the format, so the shared limit is asserted here.
+// TestVBLMaxSpanMatchesFormat pins the format's block-size limit to the
+// one the partition prices with.
 func TestVBLMaxSpanMatchesFormat(t *testing.T) {
 	if partition.VBLMaxSpan != vbl.MaxBlockLen {
 		t.Fatalf("partition.VBLMaxSpan = %d, vbl.MaxBlockLen = %d", partition.VBLMaxSpan, vbl.MaxBlockLen)

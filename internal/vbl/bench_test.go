@@ -37,6 +37,38 @@ func BenchmarkMulVsCSR(b *testing.B) {
 	})
 }
 
+// BenchmarkConstruct times building 1D-VBL, which registration and every
+// churn recompaction pay, on the matrices BenchmarkKernels multiplies. In
+// double precision NewDP's blocks are the runs; the single-precision
+// build runs the DP, which merges runs across one-column gaps.
+func BenchmarkConstruct(b *testing.B) {
+	for _, mc := range []struct {
+		name   string
+		double *mat.COO[float64]
+		single *mat.COO[float32]
+	}{
+		{"random4096", testmat.Random[float64](4096, 4096, 0.008, 1), testmat.Random[float32](4096, 4096, 0.008, 1)},
+		{"powerlaw60000", suite.PowerLaw[float64](60000, 8, 1.8, 1), suite.PowerLaw[float32](60000, 8, 1.8, 1)},
+		{"laplacian64x3", testmat.Laplacian[float64](64, 3), testmat.Laplacian[float32](64, 3)},
+	} {
+		b.Run(mc.name+"/New", func(b *testing.B) {
+			for b.Loop() {
+				vbl.New(mc.double, blocks.Vector)
+			}
+		})
+		b.Run(mc.name+"/NewDP", func(b *testing.B) {
+			for b.Loop() {
+				vbl.NewDP(mc.double, blocks.Vector)
+			}
+		})
+		b.Run(mc.name+"/NewDP-f32", func(b *testing.B) {
+			for b.Loop() {
+				vbl.NewDP(mc.single, blocks.Vector)
+			}
+		})
+	}
+}
+
 // BenchmarkKernels times one multiply of a k-vector panel, k = 1, 2 and
 // 8, by 1D-VBL/simd and by CSR/ix16 on the matrices the serving
 // workloads use: the unit runs of random 4096² (churn) and of the

@@ -18,12 +18,7 @@ import (
 // four-chain loop, the block size is read through blockLen, and a panel
 // replays each row once per column. The kernels must match it bit for bit.
 
-func (a *Matrix[T]) blockLen(bi int) int {
-	if a.wideSize != nil {
-		return int(a.wideSize[bi])
-	}
-	return int(a.bsize[bi])
-}
+func (a *Matrix[T]) blockLen(bi int) int { return int(a.bsize[bi]) }
 
 func (a *Matrix[T]) oracleMulRange(x, y []T, r0, r1 int) {
 	if r0 < 0 || r1 > a.rows || r0 > r1 {
@@ -197,7 +192,6 @@ func TestMulMatchesOracle(t *testing.T) {
 		"random2048":    New(testmat.Random[float64](2048, 2048, 0.016, 1), blocks.Vector),
 		"powerlaw60000": New(suite.PowerLaw[float64](60000, 8, 1.8, 1), blocks.Vector),
 		"runs":          New(testmat.Runs[float64](300, 2000, 1), blocks.Scalar),
-		"runs-wide":     NewWide(testmat.Runs[float64](300, 2000, 2), blocks.Scalar),
 	}
 	for name, m := range testmat.Corpus[float64]() {
 		double["corpus/"+name] = New(m, blocks.Scalar)
@@ -208,9 +202,6 @@ func TestMulMatchesOracle(t *testing.T) {
 	}
 	if dp := single["runs-dp"]; dp.StoredScalars() == dp.NNZ() {
 		t.Fatal("the sp DP instance merged no runs; it would not check zero fill")
-	}
-	if !double["runs-wide"].Wide() {
-		t.Fatal("runs-wide is not the wide variant")
 	}
 	for name, m := range testmat.Corpus[float32]() {
 		single["corpus/"+name] = New(m, blocks.Scalar)
@@ -253,7 +244,7 @@ func fuzzCheck[T floats.Float](t *testing.T, data []byte, k int, r0, r1 uint16, 
 	lo, hi = min(lo, hi), max(lo, hi)
 	x := specialVector[T](m.Cols()*k, rng)
 	y0 := specialVector[T](rows*k, rng)
-	for _, a := range []*Matrix[T]{New(m, blocks.Scalar), NewWide(m, blocks.Scalar), NewDP(m, blocks.Scalar)} {
+	for _, a := range []*Matrix[T]{New(m, blocks.Scalar), NewDP(m, blocks.Scalar)} {
 		checkOracle(t, a, x, y0, k, lo, hi)
 	}
 }
@@ -277,13 +268,12 @@ func FuzzMulMatchesOracle(f *testing.F) {
 // accumulators, named or in an array, stay on the stack.
 func TestMulZeroAllocs(t *testing.T) {
 	m := testmat.Runs[float64](200, 1000, 4)
-	for _, a := range []*Matrix[float64]{New(m, blocks.Scalar), NewWide(m, blocks.Scalar)} {
-		for _, k := range oracleWidths {
-			x := floats.RandVector[float64](m.Cols()*k, 5)
-			y := make([]float64, m.Rows()*k)
-			if allocs := testing.AllocsPerRun(20, func() { a.MulRangeMulti(x, y, k, 0, m.Rows()) }); allocs != 0 {
-				t.Errorf("%s k=%d: MulRangeMulti allocates %v times per call, want 0", a.Name(), k, allocs)
-			}
+	a := New(m, blocks.Scalar)
+	for _, k := range oracleWidths {
+		x := floats.RandVector[float64](m.Cols()*k, 5)
+		y := make([]float64, m.Rows()*k)
+		if allocs := testing.AllocsPerRun(20, func() { a.MulRangeMulti(x, y, k, 0, m.Rows()) }); allocs != 0 {
+			t.Errorf("k=%d: MulRangeMulti allocates %v times per call, want 0", k, allocs)
 		}
 	}
 }

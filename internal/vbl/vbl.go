@@ -26,7 +26,7 @@ import (
 
 // MaxBlockLen is the largest representable block: sizes are stored in one
 // byte.
-const MaxBlockLen = 255
+const MaxBlockLen = partition.VBLMaxSpan
 
 // Matrix is a sparse matrix in 1D-VBL format.
 type Matrix[T floats.Float] struct {
@@ -35,12 +35,6 @@ type Matrix[T floats.Float] struct {
 	rowPtr     []int32 // len rows+1, indexes val
 	bcol       []int32 // starting column per block
 	bsize      []uint8 // block sizes, 1..255
-
-	// wideSize, when non-nil, replaces bsize with 4-byte block sizes and
-	// lifts the 255-element split limit. It exists for the index-width
-	// ablation (the paper chose 1-byte sizes to shave the working set);
-	// see NewWide.
-	wideSize []int32
 
 	// rowBlk is an auxiliary index (first block of each row) that seeds
 	// MulRange at partition boundaries. The sequential multiply streams
@@ -63,17 +57,10 @@ type Matrix[T floats.Float] struct {
 }
 
 // New converts a finalized coordinate matrix to 1D-VBL with the paper's
-// 1-byte block sizes.
+// run detection: each row's maximal runs of consecutive nonzeros, split
+// into blocks of at most MaxBlockLen.
 func New[T floats.Float](m *mat.COO[T], impl blocks.Impl) *Matrix[T] {
 	return build(m, impl, false)
-}
-
-// NewWide converts to a 1D-VBL variant with 4-byte block sizes and no run
-// splitting. It exists for the index-width ablation: the paper's 1-byte
-// choice trades the (rare) splitting of >255-element runs for 3 fewer
-// bytes of traffic per block.
-func NewWide[T floats.Float](m *mat.COO[T], impl blocks.Impl) *Matrix[T] {
-	return build(m, impl, true)
 }
 
 // NewDP converts a finalized coordinate matrix to 1D-VBL with block
@@ -83,6 +70,13 @@ func NewWide[T floats.Float](m *mat.COO[T], impl blocks.Impl) *Matrix[T] {
 // than the saved per-block indices — never worse than New's run
 // detection, and only actually different for small scalar types.
 func NewDP[T floats.Float](m *mat.COO[T], impl blocks.Impl) *Matrix[T] {
+	return build(m, impl, true)
+}
+
+// build lays out, row by row, the blocks internal/partition yields: the
+// runs, which hold exactly the row's entries in order, or with dp the
+// DP's blocks (appendDPRow).
+func build[T floats.Float](m *mat.COO[T], impl blocks.Impl, dp bool) *Matrix[T] {
 	if !m.Finalized() {
 		panic("vbl: matrix must be finalized")
 	}
@@ -93,36 +87,29 @@ func NewDP[T floats.Float](m *mat.COO[T], impl blocks.Impl) *Matrix[T] {
 		rowPtr: make([]int32, m.Rows()+1),
 		rowBlk: make([]int32, m.Rows()+1),
 		nnz:    int64(m.NNZ()),
-		dp:     true,
+		dp:     dp,
 		impl:   impl,
 	}
-	valSize := floats.SizeOf[T]()
 	entries := m.Entries()
-	cols := make([]int32, 0, 64)
-	vals := make([]T, 0, 64)
-	for lo := 0; lo < len(entries); {
-		row := entries[lo].Row
-		hi := lo
-		cols, vals = cols[:0], vals[:0]
-		for hi < len(entries) && entries[hi].Row == row {
-			cols = append(cols, entries[hi].Col)
-			vals = append(vals, entries[hi].Val)
-			hi++
+	var cols []int32
+	for i := 0; i < len(entries); {
+		row := entries[i].Row
+		cols = cols[:0]
+		for j := i; j < len(entries) && entries[j].Row == row; j++ {
+			cols = append(cols, entries[j].Col)
 		}
-		cursor := 0
-		partition.VBLRowBlocks(cols, valSize, func(start, span int32) {
-			a.bcol = append(a.bcol, start)
-			a.bsize = append(a.bsize, uint8(span))
-			base := len(a.val)
-			a.val = append(a.val, make([]T, span)...)
-			for cursor < len(cols) && cols[cursor] < start+span {
-				a.val[base+int(cols[cursor]-start)] = vals[cursor]
-				cursor++
+		es := entries[i : i+len(cols)]
+		i += len(es)
+		if dp {
+			a.appendDPRow(es, cols)
+		} else {
+			a.bcol, a.bsize = partition.VBLRuns(a.bcol, a.bsize, cols)
+			for _, e := range es {
+				a.val = append(a.val, e.Val)
 			}
-		})
+		}
 		a.rowPtr[row+1] = int32(len(a.val))
 		a.rowBlk[row+1] = int32(len(a.bcol))
-		lo = hi
 	}
 	for r := 0; r < a.rows; r++ {
 		if a.rowPtr[r+1] < a.rowPtr[r] {
@@ -133,74 +120,24 @@ func NewDP[T floats.Float](m *mat.COO[T], impl blocks.Impl) *Matrix[T] {
 	return a
 }
 
-func build[T floats.Float](m *mat.COO[T], impl blocks.Impl, wide bool) *Matrix[T] {
-	if !m.Finalized() {
-		panic("vbl: matrix must be finalized")
-	}
-	a := &Matrix[T]{
-		rows:   m.Rows(),
-		cols:   m.Cols(),
-		val:    make([]T, 0, m.NNZ()),
-		rowPtr: make([]int32, m.Rows()+1),
-		rowBlk: make([]int32, m.Rows()+1),
-		nnz:    int64(m.NNZ()),
-		impl:   impl,
-	}
-	addBlock := func(col int32, n int) {
-		a.bcol = append(a.bcol, col)
-		if wide {
-			a.wideSize = append(a.wideSize, int32(n))
-		} else {
-			a.bsize = append(a.bsize, uint8(n))
+// appendDPRow appends the DP's blocks of the row whose entries are es and
+// columns cols. The DP may merge runs across gaps, so each block is
+// zero-filled and the entries it covers scattered into it.
+func (a *Matrix[T]) appendDPRow(es []mat.Entry[T], cols []int32) {
+	b := len(a.bcol)
+	a.bcol, a.bsize = partition.VBLRowBlocks(a.bcol, a.bsize, cols, floats.SizeOf[T]())
+	for ; b < len(a.bcol); b++ {
+		start, end := a.bcol[b], a.bcol[b]+int32(a.bsize[b])
+		base := len(a.val)
+		a.val = append(a.val, make([]T, end-start)...)
+		for ; len(es) > 0 && es[0].Col < end; es = es[1:] {
+			a.val[base+int(es[0].Col-start)] = es[0].Val
 		}
 	}
-	entries := m.Entries()
-	for lo := 0; lo < len(entries); {
-		row := entries[lo].Row
-		hi := lo
-		for hi < len(entries) && entries[hi].Row == row {
-			hi++
-		}
-		for i := lo; i < hi; {
-			j := i + 1
-			for j < hi && entries[j].Col == entries[j-1].Col+1 {
-				j++
-			}
-			if wide {
-				addBlock(entries[i].Col, j-i)
-				for k := i; k < j; k++ {
-					a.val = append(a.val, entries[k].Val)
-				}
-			} else {
-				// Split runs longer than 255 into chunks.
-				for off := i; off < j; off += MaxBlockLen {
-					n := min(j-off, MaxBlockLen)
-					addBlock(entries[off].Col, n)
-					for k := 0; k < n; k++ {
-						a.val = append(a.val, entries[off+k].Val)
-					}
-				}
-			}
-			i = j
-		}
-		a.rowPtr[row+1] = int32(len(a.val))
-		a.rowBlk[row+1] = int32(len(a.bcol))
-		lo = hi
-	}
-	for r := 0; r < a.rows; r++ {
-		if a.rowPtr[r+1] < a.rowPtr[r] {
-			a.rowPtr[r+1] = a.rowPtr[r]
-			a.rowBlk[r+1] = a.rowBlk[r]
-		}
-	}
-	return a
 }
 
 // Blocks returns the number of variable-length blocks.
 func (a *Matrix[T]) Blocks() int64 { return int64(len(a.bcol)) }
-
-// Wide reports whether this instance uses 4-byte block sizes.
-func (a *Matrix[T]) Wide() bool { return a.wideSize != nil }
 
 // AvgBlockLen returns the mean block length, a structure diagnostic.
 func (a *Matrix[T]) AvgBlockLen() float64 {
@@ -213,9 +150,6 @@ func (a *Matrix[T]) AvgBlockLen() float64 {
 // Name implements formats.Instance.
 func (a *Matrix[T]) Name() string {
 	n := "1D-VBL"
-	if a.wideSize != nil {
-		n += "-wide"
-	}
 	if a.dp {
 		n += "-DP"
 	}
@@ -240,13 +174,12 @@ func (a *Matrix[T]) NNZ() int64 { return a.nnz }
 func (a *Matrix[T]) StoredScalars() int64 { return int64(len(a.val)) }
 
 // MatrixBytes implements formats.Instance. It covers every array of the
-// structure: val, rowPtr, bcol, the block sizes (1 byte each, or 4 for
-// the wide variant) and the rowBlk seed index.
+// structure: val, rowPtr, bcol, the 1-byte block sizes and the rowBlk
+// seed index.
 func (a *Matrix[T]) MatrixBytes() int64 {
 	s := int64(floats.SizeOf[T]())
 	return int64(len(a.val))*s + int64(len(a.rowPtr))*4 +
-		int64(len(a.bcol))*4 + int64(len(a.bsize)) + int64(len(a.wideSize))*4 +
-		int64(len(a.rowBlk))*4
+		int64(len(a.bcol))*4 + int64(len(a.bsize)) + int64(len(a.rowBlk))*4
 }
 
 // Components implements formats.Instance. Variable-size blocks have no
@@ -288,30 +221,24 @@ func (a *Matrix[T]) MulRange(x, y []T, r0, r1 int) {
 	if r0 < 0 || r1 > a.rows || r0 > r1 {
 		panic(fmt.Sprintf("vbl: MulRange [%d,%d) out of bounds", r0, r1))
 	}
-	if a.wideSize != nil {
-		mulRange(a, a.wideSize, x, y, r0, r1)
-		return
-	}
 	mulRange(a, a.bsize, x, y, r0, r1)
 }
 
-// blockSize is the element type of a block-size array: the paper's one
-// byte, or four in the wide variant. The kernels take the array as a
-// parameter, so the variant is chosen once per call, not per block.
-type blockSize interface{ uint8 | int32 }
-
-// mulRange is MulRange over one block-size array. A block of one scalar
-// (the unit run, nearly every block of a scattered matrix) adds its
-// rounded product straight to the row sum; the conversion T(...) rounds
-// the product, so the compiler cannot fuse it with the add into an FMA.
-// That is bit for bit the longer path's result: there a unit block's sum
-// is v·x + 0 + 0 + 0, which differs from v·x only by turning −0 into +0,
-// and the row sum starts at +0 and can never become −0, so adding −0 or
-// +0 leaves it the same. Longer blocks keep the four-chain order, and
-// are tested for first: with the unit test first, a matrix of short
-// runs and no unit ones (a 3×3-block Laplacian) multiplied a few
-// percent slower than with the four-chain loop alone.
-func mulRange[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, r0, r1 int) {
+// mulRange is MulRange's kernel. The kernels take the block sizes,
+// a.bsize, as an argument: read from a inside the kernel, they cost the
+// loop more register spills and the 3×3-block Laplacian multiplied a few
+// percent slower. A block of one scalar (the unit run, nearly every
+// block of a scattered matrix) adds its rounded product straight to the
+// row sum; the conversion T(...) rounds the product, so the compiler
+// cannot fuse it with the add into an FMA. That is bit for bit the
+// longer path's result: there a unit block's sum is v·x + 0 + 0 + 0,
+// which differs from v·x only by turning −0 into +0, and the row sum
+// starts at +0 and can never become −0, so adding −0 or +0 leaves it the
+// same. Longer blocks keep the four-chain order, and are tested for
+// first: with the unit test first, a matrix of short runs and no unit
+// ones (a 3×3-block Laplacian) multiplied a few percent slower than with
+// the four-chain loop alone.
+func mulRange[T floats.Float](a *Matrix[T], size []uint8, x, y []T, r0, r1 int) {
 	val, bcol := a.val, a.bcol
 	bi := int(a.rowBlk[r0])
 	vi := int(a.rowPtr[r0])
@@ -376,36 +303,24 @@ func (a *Matrix[T]) MulRangeMulti(x, y []T, k, r0, r1 int) {
 	if r0 < 0 || r1 > a.rows || r0 > r1 {
 		panic(fmt.Sprintf("vbl: MulRangeMulti [%d,%d) out of bounds", r0, r1))
 	}
-	if k == 0 {
-		return
-	}
-	if k == 1 {
-		a.MulRange(x, y, r0, r1)
-		return
-	}
-	if a.wideSize != nil {
-		mulRangeMulti(a, a.wideSize, x, y, k, r0, r1)
-		return
-	}
-	mulRangeMulti(a, a.bsize, x, y, k, r0, r1)
-}
-
-func mulRangeMulti[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, k, r0, r1 int) {
 	switch {
+	case k == 0:
+	case k == 1:
+		mulRange(a, a.bsize, x, y, r0, r1)
 	case k == 2:
-		mulRangeMulti2(a, size, x, y, r0, r1)
+		mulRangeMulti2(a, a.bsize, x, y, r0, r1)
 	case k == 4:
-		mulRangeMulti4(a, size, x, y, r0, r1)
+		mulRangeMulti4(a, a.bsize, x, y, r0, r1)
 	case k == 8:
-		mulRangeMulti8(a, size, x, y, r0, r1)
+		mulRangeMulti8(a, a.bsize, x, y, r0, r1)
 	case k < 8:
-		mulRangeMultiReg(a, size, x, y, k, r0, r1)
+		mulRangeMultiReg(a, a.bsize, x, y, k, r0, r1)
 	default:
-		mulRangeMultiReplay(a, size, x, y, k, r0, r1)
+		mulRangeMultiReplay(a, a.bsize, x, y, k, r0, r1)
 	}
 }
 
-func mulRangeMulti2[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, r0, r1 int) {
+func mulRangeMulti2[T floats.Float](a *Matrix[T], size []uint8, x, y []T, r0, r1 int) {
 	val, bcol := a.val, a.bcol
 	bi := int(a.rowBlk[r0])
 	vi := int(a.rowPtr[r0])
@@ -435,7 +350,7 @@ func mulRangeMulti2[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []
 	}
 }
 
-func mulRangeMulti4[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, r0, r1 int) {
+func mulRangeMulti4[T floats.Float](a *Matrix[T], size []uint8, x, y []T, r0, r1 int) {
 	val, bcol := a.val, a.bcol
 	bi := int(a.rowBlk[r0])
 	vi := int(a.rowPtr[r0])
@@ -471,7 +386,7 @@ func mulRangeMulti4[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []
 	}
 }
 
-func mulRangeMulti8[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, r0, r1 int) {
+func mulRangeMulti8[T floats.Float](a *Matrix[T], size []uint8, x, y []T, r0, r1 int) {
 	val, bcol := a.val, a.bcol
 	bi := int(a.rowBlk[r0])
 	vi := int(a.rowPtr[r0])
@@ -521,7 +436,7 @@ func mulRangeMulti8[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []
 
 // mulRangeMultiReg is the one-walk panel kernel for the other widths
 // below 8, with the accumulators in an array.
-func mulRangeMultiReg[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, k, r0, r1 int) {
+func mulRangeMultiReg[T floats.Float](a *Matrix[T], size []uint8, x, y []T, k, r0, r1 int) {
 	val, bcol := a.val, a.bcol
 	bi := int(a.rowBlk[r0])
 	vi := int(a.rowPtr[r0])
@@ -559,7 +474,7 @@ func mulRangeMultiReg[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y 
 // mulRangeMultiReplay replays each row's block walk per panel column from
 // the row's saved cursors; the row's values and block metadata stay
 // cache-resident across the k passes.
-func mulRangeMultiReplay[T floats.Float, S blockSize](a *Matrix[T], size []S, x, y []T, k, r0, r1 int) {
+func mulRangeMultiReplay[T floats.Float](a *Matrix[T], size []uint8, x, y []T, k, r0, r1 int) {
 	val, bcol := a.val, a.bcol
 	for r := r0; r < r1; r++ {
 		vi0, end := int(a.rowPtr[r]), int(a.rowPtr[r+1])

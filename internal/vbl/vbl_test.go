@@ -89,38 +89,3 @@ func TestScatteredSinglesAreSingletonBlocks(t *testing.T) {
 		t.Errorf("avg block length = %g, want 1", a.AvgBlockLen())
 	}
 }
-
-func TestWideVariant(t *testing.T) {
-	for name, m := range testmat.Corpus[float64]() {
-		t.Run(name, func(t *testing.T) {
-			conformance.Check(t, m, vbl.NewWide(m, blocks.Scalar))
-		})
-	}
-}
-
-func TestWideNoSplitting(t *testing.T) {
-	m := mat.New[float64](1, 600)
-	for c := 0; c < 600; c++ {
-		m.Add(0, int32(c), float64(c%9)+1)
-	}
-	m.Finalize()
-	narrow := vbl.New(m, blocks.Scalar)
-	wide := vbl.NewWide(m, blocks.Scalar)
-	if !wide.Wide() || narrow.Wide() {
-		t.Error("Wide() flags wrong")
-	}
-	if wide.Blocks() != 1 {
-		t.Errorf("wide variant split the 600-run into %d blocks", wide.Blocks())
-	}
-	if narrow.Blocks() != 3 {
-		t.Errorf("narrow variant has %d blocks, want 3", narrow.Blocks())
-	}
-	// Per-block cost: narrow pays 5 index bytes per block, wide pays 8.
-	if wide.MatrixBytes() >= narrow.MatrixBytes() {
-		t.Errorf("wide bytes %d should beat narrow %d here (fewer blocks)",
-			wide.MatrixBytes(), narrow.MatrixBytes())
-	}
-	if wide.Name() != "1D-VBL-wide" {
-		t.Errorf("Name = %q", wide.Name())
-	}
-}
