@@ -91,6 +91,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'EnumerateStatsAll|ConstructBone010|AggregateVBR' -benchmem \
 	    ./internal/core ./internal/bcsr ./internal/partition
 	$(GO) test -run '^$$' -bench 'Kernels|Construct' -benchmem ./internal/vbl
+	$(GO) test -run '^$$' -bench 'MulVecHandler' -benchmem ./internal/server
 
 # bench-json regenerates the tracked machine-readable benchmark
 # artifacts: BENCH_compress.json (index-compression experiment: bytes/nnz,

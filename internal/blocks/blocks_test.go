@@ -139,21 +139,6 @@ func TestCountDiagNegativeStart(t *testing.T) {
 	}
 }
 
-func TestCountVBL(t *testing.T) {
-	p := patternFrom(2, 10, [][2]int32{
-		{0, 0}, {0, 1}, {0, 2}, // run of 3
-		{0, 5},         // run of 1
-		{1, 3}, {1, 4}, // run of 2
-	})
-	if got := CountVBL(p, 255); got != 3 {
-		t.Errorf("CountVBL = %d, want 3", got)
-	}
-	// With maxLen 2 the run of 3 splits into 2 blocks.
-	if got := CountVBL(p, 2); got != 4 {
-		t.Errorf("CountVBL(maxLen=2) = %d, want 4", got)
-	}
-}
-
 // TestCountInvariants property-checks the accounting identities on random
 // patterns: padding is non-negative, full blocks plus remainder recover
 // nnz, and block counts are bounded by nnz.

@@ -172,29 +172,5 @@ func CountRect(p *mat.Pattern, r, c int) Count { return NewCounter(p).rect(r, c)
 // are stored clipped and can never be full.
 func CountDiag(p *mat.Pattern, b int) Count { return NewCounter(p).diag(b) }
 
-// CountVBL returns the number of variable-length horizontal blocks 1D-VBL
-// forms: maximal runs of consecutive columns within a row, split into
-// chunks of at most maxLen elements (the paper stores block sizes in one
-// byte, so maxLen is 255 there).
-func CountVBL(p *mat.Pattern, maxLen int) int64 {
-	if maxLen < 1 {
-		panic("blocks: CountVBL maxLen must be positive")
-	}
-	var blocks int64
-	for r := 0; r < p.Rows; r++ {
-		cols := p.RowCols(r)
-		for i := 0; i < len(cols); {
-			j := i + 1
-			for j < len(cols) && cols[j] == cols[j-1]+1 {
-				j++
-			}
-			runLen := j - i
-			blocks += int64((runLen + maxLen - 1) / maxLen)
-			i = j
-		}
-	}
-	return blocks
-}
-
 // CountForShape dispatches to CountRect or CountDiag.
 func CountForShape(p *mat.Pattern, s Shape) Count { return NewCounter(p).Count(s) }

@@ -47,19 +47,43 @@ func VBLRuns(bcol []int32, bsize []uint8, cols []int32) ([]int32, []uint8) {
 // blocks of VBLRuns, which are the run-detection solution, so the result
 // is never worse than the heuristic. When valSize > vblBlockBytes every
 // merge costs more than it saves (g ≥ 1), so the runs are the unique
-// optimum: they are appended without the DP.
+// optimum: they are appended without the DP. A loop over many rows
+// calls VBLScratch.RowBlocks instead, which allocates the DP's arrays
+// once.
 func VBLRowBlocks(bcol []int32, bsize []uint8, cols []int32, valSize int) ([]int32, []uint8) {
+	var s VBLScratch
+	return s.RowBlocks(bcol, bsize, cols, valSize)
+}
+
+// VBLScratch holds the per-row arrays of VBLRowBlocks' dynamic program,
+// so a loop over the rows of a matrix allocates them once rather than
+// five times a row. The zero value is ready to use; a VBLScratch is not
+// safe for concurrent use.
+type VBLScratch struct {
+	starts []int32 // the row's runs: the DP's atoms
+	spans  []uint8
+	opt    []int64 // opt[j]: fewest bytes covering atoms [0, j)
+	parent []int32 // parent[j]: first atom of the last block in opt[j]
+	rev    []int32 // block ends, right to left
+}
+
+// RowBlocks is VBLRowBlocks on s's arrays.
+func (s *VBLScratch) RowBlocks(bcol []int32, bsize []uint8, cols []int32, valSize int) ([]int32, []uint8) {
 	if len(cols) == 0 {
 		return bcol, bsize
 	}
 	if !VBLMerges(valSize) {
 		return VBLRuns(bcol, bsize, cols)
 	}
-	starts, spans := VBLRuns(nil, nil, cols)
+	s.starts, s.spans = VBLRuns(s.starts[:0], s.spans[:0], cols)
+	starts, spans := s.starts, s.spans
 	n := len(starts)
 	const inf = int64(1) << 62
-	opt := make([]int64, n+1)
-	parent := make([]int32, n+1)
+	if cap(s.opt) < n+1 {
+		s.opt, s.parent = make([]int64, n+1), make([]int32, n+1)
+	}
+	opt, parent := s.opt[:n+1], s.parent[:n+1]
+	opt[0] = 0
 	for i := 1; i <= n; i++ {
 		opt[i] = inf
 	}
@@ -79,10 +103,11 @@ func VBLRowBlocks(bcol []int32, bsize []uint8, cols []int32, valSize int) ([]int
 		}
 	}
 	// Reconstruct and append left to right.
-	var rev []int32
+	rev := s.rev[:0]
 	for j := int32(n); j > 0; j = parent[j] {
 		rev = append(rev, j)
 	}
+	s.rev = rev
 	start := int32(0)
 	for i := len(rev) - 1; i >= 0; i-- {
 		j := rev[i]
@@ -106,8 +131,9 @@ func VBLStats(p *mat.Pattern, valSize int, dp bool) Stats {
 	if dp && VBLMerges(valSize) {
 		var bcol []int32
 		var bsize []uint8
+		var scratch VBLScratch
 		for r := 0; r < p.Rows; r++ {
-			bcol, bsize = VBLRowBlocks(bcol[:0], bsize[:0], p.RowCols(r), valSize)
+			bcol, bsize = scratch.RowBlocks(bcol[:0], bsize[:0], p.RowCols(r), valSize)
 			st.Blocks += int64(len(bsize))
 			for _, n := range bsize {
 				st.Stored += int64(n)

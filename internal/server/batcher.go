@@ -94,11 +94,17 @@ func (b *batcher) submitPanel(ctx context.Context, xs [][]float64) ([][]float64,
 	for l := range ys {
 		ys[l] = flat[l*b.rows : (l+1)*b.rows]
 	}
-	r := &request{ctx: ctx, xs: xs, ys: ys}
-	if err := b.admit(ctx, r); err != nil {
+	if err := b.submitPanelInto(ctx, xs, ys); err != nil {
 		return nil, err
 	}
-	return r.ys, nil
+	return ys, nil
+}
+
+// submitPanelInto is submitPanel writing the results into ys, one
+// vector of rows elements per x. When it returns a context error the
+// loop may still hold xs and ys, and may yet write ys.
+func (b *batcher) submitPanelInto(ctx context.Context, xs, ys [][]float64) error {
+	return b.admit(ctx, &request{ctx: ctx, xs: xs, ys: ys})
 }
 
 // submitUpdate admits a mutation closure and blocks until the loop has

@@ -68,7 +68,7 @@ func FuzzShardPanelFrame(f *testing.F) {
 			}
 		}
 		if r0, r1, k, flat, err := DecodePartialPanelInto(nil, data, 1<<16, 64); err == nil {
-			re, err := EncodePartialPanel(r0, r1, PanelVecs(nil, flat, r1-r0, k))
+			re, err := AppendPartialPanel(nil, r0, r1, PanelVecs(nil, flat, r1-r0, k))
 			if err != nil {
 				t.Fatalf("re-encode accepted partial panel: %v", err)
 			}

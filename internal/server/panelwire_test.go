@@ -18,9 +18,9 @@ func mustEncodePanelReq(tb testing.TB, row0, row1 int, xs [][]float64) []byte {
 
 func mustEncodePanelPart(tb testing.TB, row0, row1 int, ys [][]float64) []byte {
 	tb.Helper()
-	data, err := EncodePartialPanel(row0, row1, ys)
+	data, err := AppendPartialPanel(nil, row0, row1, ys)
 	if err != nil {
-		tb.Fatalf("EncodePartialPanel([%d,%d), k=%d): %v", row0, row1, len(ys), err)
+		tb.Fatalf("AppendPartialPanel([%d,%d), k=%d): %v", row0, row1, len(ys), err)
 	}
 	return data
 }
@@ -106,12 +106,12 @@ func TestShardWireEncodeGuards(t *testing.T) {
 	if _, err := EncodeShardPanel(-1, 2, [][]float64{{1}}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("negative row0: err = %v, want ErrWireRange", err)
 	}
-	if _, err := EncodePartialPanel(5, 3, [][]float64{{1}}); !errors.Is(err, ErrWireRange) {
+	if _, err := AppendPartialPanel(nil, 5, 3, [][]float64{{1}}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("inverted partial range: err = %v, want ErrWireRange", err)
 	}
 	// A partial frame whose element count disagrees with its range is a
 	// lie about which rows it carries; the encoder refuses to build it.
-	if _, err := EncodePartialPanel(0, 3, [][]float64{{1, 2}}); !errors.Is(err, ErrWirePanel) {
+	if _, err := AppendPartialPanel(nil, 0, 3, [][]float64{{1, 2}}); !errors.Is(err, ErrWirePanel) {
 		t.Errorf("partial range/len mismatch: err = %v, want ErrWirePanel", err)
 	}
 }
@@ -128,15 +128,15 @@ func TestPanelWireEncodeGuards(t *testing.T) {
 	if _, err := EncodeShardPanel(0, 4, [][]float64{{1, 2}, {3}}); !errors.Is(err, ErrWirePanel) {
 		t.Errorf("ragged panel: err = %v, want ErrWirePanel", err)
 	}
-	if _, err := EncodePartialPanel(5, 3, [][]float64{{1}, {2}}); !errors.Is(err, ErrWireRange) {
+	if _, err := AppendPartialPanel(nil, 5, 3, [][]float64{{1}, {2}}); !errors.Is(err, ErrWireRange) {
 		t.Errorf("inverted partial panel range: err = %v, want ErrWireRange", err)
 	}
-	if _, err := EncodePartialPanel(0, 3, nil); !errors.Is(err, ErrWirePanel) {
+	if _, err := AppendPartialPanel(nil, 0, 3, nil); !errors.Is(err, ErrWirePanel) {
 		t.Errorf("k=0 partial panel: err = %v, want ErrWirePanel", err)
 	}
 	// A partial panel whose vector length disagrees with its range lies
 	// about which rows it carries.
-	if _, err := EncodePartialPanel(0, 3, [][]float64{{1, 2}, {3, 4}}); !errors.Is(err, ErrWirePanel) {
+	if _, err := AppendPartialPanel(nil, 0, 3, [][]float64{{1, 2}, {3, 4}}); !errors.Is(err, ErrWirePanel) {
 		t.Errorf("partial panel range/len mismatch: err = %v, want ErrWirePanel", err)
 	}
 }

@@ -541,23 +541,38 @@ func (g *Registry) MulVec(ctx context.Context, name string, x []float64) ([]floa
 // carrying nothing has no well-formed reply), context errors, and the
 // pool's panic/poisoned errors.
 func (g *Registry) MulVecs(ctx context.Context, name string, xs [][]float64) ([][]float64, error) {
+	return g.mulVecsInto(ctx, name, xs, nil)
+}
+
+// mulVecsInto is MulVecs writing the results into ys, which must hold
+// one vector of Rows elements per x; nil ys asks for fresh ones. The
+// data-plane handlers pass pooled ys, and a context error means the
+// batch loop may still write them (see repoolVecs).
+func (g *Registry) mulVecsInto(ctx context.Context, name string, xs, ys [][]float64) ([][]float64, error) {
 	e, err := g.acquire(name)
 	if err != nil {
 		return nil, err
 	}
 	defer g.release(e)
-	if len(xs) == 0 {
-		return nil, &formats.PanelError{Format: e.info.Format, NX: 0, NY: 0}
+	if len(xs) == 0 || (ys != nil && len(ys) != len(xs)) {
+		return nil, &formats.PanelError{Format: e.info.Format, NX: len(xs), NY: len(ys)}
 	}
-	for _, x := range xs {
-		if len(x) != e.info.Cols {
+	for l, x := range xs {
+		lenY := e.info.Rows
+		if ys != nil {
+			lenY = len(ys[l])
+		}
+		if len(x) != e.info.Cols || lenY != e.info.Rows {
 			return nil, &formats.DimError{
 				Format: e.info.Format, Rows: e.info.Rows, Cols: e.info.Cols,
-				LenX: len(x), LenY: e.info.Rows,
+				LenX: len(x), LenY: lenY,
 			}
 		}
 	}
-	return e.bat.submitPanel(ctx, xs)
+	if ys == nil {
+		return e.bat.submitPanel(ctx, xs)
+	}
+	return ys, e.bat.submitPanelInto(ctx, xs, ys)
 }
 
 // Close drains every batcher — in-flight batches complete, queued

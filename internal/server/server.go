@@ -26,12 +26,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -235,8 +235,10 @@ type jsonVec struct {
 }
 
 // handleMulVec is the data-plane endpoint: decode the input vector
-// (binary codec or JSON), derive the request deadline, run the request
-// through the matrix's batcher, and answer in the request's encoding.
+// (binary codec or JSON) into pooled scratch, derive the request
+// deadline, run the request through the matrix's batcher into a pooled
+// y, and answer in the request's encoding, built in the request's body
+// buffer.
 func (s *Server) handleMulVec(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := s.reg.Lookup(name)
@@ -244,40 +246,46 @@ func (s *Server) handleMulVec(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	binaryReq := r.Header.Get("Content-Type") == ContentTypeVector
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r, wireHeaderLen+8*int64(info.Cols))
 	if err != nil {
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)
 		return
 	}
+	defer bodyScratch.Put(body)
+	binaryReq := r.Header.Get("Content-Type") == ContentTypeVector
+	xbuf := vecScratch.Get().(*[]float64)
 	var x []float64
 	if binaryReq {
-		x, err = DecodeVector(data, info.Cols)
+		x, err = DecodeVectorInto((*xbuf)[:0], *body, info.Cols)
+		keep(xbuf, x)
 	} else {
 		var req jsonVec
-		if err = json.Unmarshal(data, &req); err != nil {
+		if err = json.Unmarshal(*body, &req); err != nil {
 			err = fmt.Errorf("%w: bad JSON body: %v", errBadRequest, err)
 		} else {
 			x = req.X
 		}
 	}
-	if err != nil {
-		s.in.reqBad.Inc()
-		s.writeErr(w, err)
-		return
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if err == nil {
+		ctx, cancel, err = s.requestContext(r)
 	}
-
-	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
+		repoolVecs(nil, xbuf)
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)
 		return
 	}
 	defer cancel()
 
-	y, err := s.reg.MulVec(ctx, name, x)
+	ybuf := vecScratch.Get().(*[]float64)
+	y := growVec(*ybuf, info.Rows)
+	keep(ybuf, y)
+	_, err = s.reg.mulVecsInto(ctx, name, [][]float64{x}, [][]float64{y})
 	if err != nil {
+		repoolVecs(err, xbuf, ybuf)
 		var dim *formats.DimError
 		if errors.As(err, &dim) {
 			s.in.reqBad.Inc()
@@ -285,18 +293,21 @@ func (s *Server) handleMulVec(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
+	contentType := ContentTypeVector
 	if binaryReq {
-		out, err := EncodeVector(y)
-		if err != nil {
-			s.writeErr(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", ContentTypeVector)
-		w.Write(out)
+		*body, err = AppendVector((*body)[:0], y)
+	} else {
+		contentType = "application/json"
+		reply := bytes.NewBuffer((*body)[:0])
+		err = json.NewEncoder(reply).Encode(jsonVec{Y: y})
+		*body = reply.Bytes()
+	}
+	repoolVecs(nil, xbuf, ybuf)
+	if err != nil {
+		s.writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(jsonVec{Y: y})
+	writeBody(w, contentType, *body)
 }
 
 // requestContext applies the per-request deadline: the client's

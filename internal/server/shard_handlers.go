@@ -3,12 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"blockspmv/internal/formats"
 )
@@ -20,11 +17,6 @@ import (
 // it serves its row block through the same autotune/pool/batcher path a
 // whole matrix takes, so the robustness envelope (admission control,
 // panic isolation, deadline propagation) is inherited, not rebuilt.
-
-// vecScratch pools the decode buffers of the shard data plane so
-// steady-state request handling allocates nothing for x. A *[]float64 is
-// pooled rather than the slice to keep the Put interface-boxing free.
-var vecScratch = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
 
 // handleShardRegister installs a sub-matrix under the global row range
 // given by the row0/row1 query parameters; the MatrixMarket body holds
@@ -51,8 +43,9 @@ func (s *Server) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 // into pooled scratch, check its row range (a frame routed to the wrong
 // worker must fail loudly, never compute the wrong rows) and its vector
 // length against the registered shard, run the k-wide panel through the
-// batcher as one MulVecs dispatch — paying the row block's matrix stream
-// once for all k vectors — and answer with the SpP2 panel partial.
+// batcher as one MulVecs dispatch into a pooled y panel — paying the row
+// block's matrix stream once for all k vectors — and answer with the
+// SpP2 panel partial, built in the request's body buffer.
 func (s *Server) handleShardMulVecs(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := s.reg.Lookup(name)
@@ -60,14 +53,16 @@ func (s *Server) handleShardMulVecs(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r, panelReqHeaderLen+8*int64(info.Cols)*int64(s.cfg.MaxPanelK))
 	if err != nil {
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)
 		return
 	}
-	scratch := vecScratch.Get().(*[]float64)
-	row0, row1, n, k, flat, err := DecodePanelInto((*scratch)[:0], data, info.Cols, s.cfg.MaxPanelK)
+	defer bodyScratch.Put(body)
+	xbuf := vecScratch.Get().(*[]float64)
+	row0, row1, n, k, flat, err := DecodePanelInto((*xbuf)[:0], *body, info.Cols, s.cfg.MaxPanelK)
+	keep(xbuf, flat)
 	switch {
 	case err != nil: // reported below
 	case !info.Sharded || row0 != info.ShardRow0 || row1 != info.ShardRow1:
@@ -76,44 +71,35 @@ func (s *Server) handleShardMulVecs(w http.ResponseWriter, r *http.Request) {
 	case n != info.Cols:
 		err = &formats.DimError{Format: info.Format, Rows: info.Rows, Cols: info.Cols, LenX: n, LenY: info.Rows}
 	}
-	if err != nil {
-		vecScratch.Put(scratch)
-		s.in.reqBad.Inc()
-		s.writeErr(w, err)
-		return
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if err == nil {
+		ctx, cancel, err = s.requestContext(r)
 	}
-	xs := PanelVecs(make([][]float64, 0, k), flat, n, k)
-
-	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
-		vecScratch.Put(scratch)
+		repoolVecs(nil, xbuf)
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)
 		return
 	}
 	defer cancel()
 
-	ys, err := s.reg.MulVecs(ctx, name, xs)
-	// The batcher's submitPanel can return on context expiry while the batch
-	// loop still holds the panel for a dispatch it has not yet dropped;
-	// repooling the scratch then would hand the kernel a buffer another
-	// request is overwriting. Only a done-channel outcome (success or a
-	// non-context error) proves the loop is finished with the panel.
-	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		if cap(flat) > cap(*scratch) {
-			*scratch = flat[:0]
-		}
-		vecScratch.Put(scratch)
+	ybuf := vecScratch.Get().(*[]float64)
+	yflat := growVec(*ybuf, k*info.Rows)
+	keep(ybuf, yflat)
+	ys, err := s.reg.mulVecsInto(ctx, name,
+		PanelVecs(make([][]float64, 0, k), flat, n, k),
+		PanelVecs(make([][]float64, 0, k), yflat, info.Rows, k))
+	if err != nil {
+		repoolVecs(err, xbuf, ybuf)
+		s.writeErr(w, err)
+		return
 	}
+	*body, err = AppendPartialPanel((*body)[:0], row0, row1, ys)
+	repoolVecs(nil, xbuf, ybuf)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	out, err := EncodePartialPanel(row0, row1, ys)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", ContentTypePanelPartial)
-	w.Write(out)
+	writeBody(w, ContentTypePanelPartial, *body)
 }

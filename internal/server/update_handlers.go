@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blockspmv/internal/overlay"
@@ -58,18 +57,20 @@ func decodeJSONUpdates(data []byte) ([]overlay.Update[float64], error) {
 // or not at all on any validation error.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r, updateHeaderLen+updateRecordLen*int64(s.cfg.MaxUpdateBatch))
 	if err != nil {
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)
 		return
 	}
+	// Both decoders copy into fresh updates, so the body goes back at once.
 	var ups []overlay.Update[float64]
 	if r.Header.Get("Content-Type") == ContentTypeUpdate {
-		ups, err = DecodeUpdateFrame(data, s.cfg.MaxUpdateBatch)
+		ups, err = DecodeUpdateFrame(*body, s.cfg.MaxUpdateBatch)
 	} else {
-		ups, err = decodeJSONUpdates(data)
+		ups, err = decodeJSONUpdates(*body)
 	}
+	bodyScratch.Put(body)
 	if err != nil {
 		s.in.reqBad.Inc()
 		s.writeErr(w, err)

@@ -92,6 +92,7 @@ func build[T floats.Float](m *mat.COO[T], impl blocks.Impl, dp bool) *Matrix[T] 
 	}
 	entries := m.Entries()
 	var cols []int32
+	var scratch partition.VBLScratch
 	for i := 0; i < len(entries); {
 		row := entries[i].Row
 		cols = cols[:0]
@@ -101,7 +102,7 @@ func build[T floats.Float](m *mat.COO[T], impl blocks.Impl, dp bool) *Matrix[T] 
 		es := entries[i : i+len(cols)]
 		i += len(es)
 		if dp {
-			a.appendDPRow(es, cols)
+			a.appendDPRow(&scratch, es, cols)
 		} else {
 			a.bcol, a.bsize = partition.VBLRuns(a.bcol, a.bsize, cols)
 			for _, e := range es {
@@ -120,12 +121,12 @@ func build[T floats.Float](m *mat.COO[T], impl blocks.Impl, dp bool) *Matrix[T] 
 	return a
 }
 
-// appendDPRow appends the DP's blocks of the row whose entries are es and
-// columns cols. The DP may merge runs across gaps, so each block is
-// zero-filled and the entries it covers scattered into it.
-func (a *Matrix[T]) appendDPRow(es []mat.Entry[T], cols []int32) {
+// appendDPRow appends the DP's blocks, run on scratch, of the row whose
+// entries are es and columns cols. The DP may merge runs across gaps, so
+// each block is zero-filled and the entries it covers scattered into it.
+func (a *Matrix[T]) appendDPRow(scratch *partition.VBLScratch, es []mat.Entry[T], cols []int32) {
 	b := len(a.bcol)
-	a.bcol, a.bsize = partition.VBLRowBlocks(a.bcol, a.bsize, cols, floats.SizeOf[T]())
+	a.bcol, a.bsize = scratch.RowBlocks(a.bcol, a.bsize, cols, floats.SizeOf[T]())
 	for ; b < len(a.bcol); b++ {
 		start, end := a.bcol[b], a.bcol[b]+int32(a.bsize[b])
 		base := len(a.val)

@@ -6,6 +6,7 @@ import (
 	"blockspmv/internal/blocks"
 	"blockspmv/internal/conformance"
 	"blockspmv/internal/mat"
+	"blockspmv/internal/partition"
 	"blockspmv/internal/testmat"
 	"blockspmv/internal/vbl"
 )
@@ -29,7 +30,7 @@ func TestConformanceSingle(t *testing.T) {
 func TestBlockCountMatchesPatternCount(t *testing.T) {
 	for name, m := range testmat.Corpus[float64]() {
 		a := vbl.New(m, blocks.Scalar)
-		want := blocks.CountVBL(mat.PatternOf(m), vbl.MaxBlockLen)
+		want := partition.VBLStats(mat.PatternOf(m), 8, false).Blocks
 		if a.Blocks() != want {
 			t.Errorf("%s: constructed %d blocks, counted %d", name, a.Blocks(), want)
 		}
